@@ -13,8 +13,6 @@ from .symseq import (
     JointCountTable,
     SymbolSeries,
     count_joint,
-    embed,
-    marginalize,
 )
 from .estimators import (
     Distribution,
@@ -31,6 +29,7 @@ from .infodyn import (
     ais,
     compute,
     ensemble_average,
+    evaluate,
     icais,
     interaction,
     local_ais,
@@ -83,9 +82,9 @@ __all__ = [
     "conditional_entropy",
     "conditional_mutual_information",
     "count_joint",
-    "embed",
     "ensemble_average",
     "entropy",
+    "evaluate",
     "exact_joint",
     "generate_input",
     "icais",
@@ -94,7 +93,6 @@ __all__ = [
     "local_icais",
     "local_interaction",
     "make_unit",
-    "marginalize",
     "mutual_information",
     "oracle_joint",
     "plugin_distribution",

@@ -120,31 +120,31 @@ def _parse_k_range(text: str) -> list[int]:
 
 
 def _read_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"no such file: {path}")
-    with p.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file: {path}")
-        columns = [name.strip() for name in header]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(columns):
-                raise DataError(f"{path}:{lineno}: expected {len(columns)} fields")
-            parsed = []
-            for name, cell in zip(columns, row):
-                try:
-                    parsed.append(int(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: non-integer value {cell!r} in column {name!r}"
-                    )
-            rows.append(parsed)
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"empty file: {path}")
+            columns = [name.strip() for name in header]
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(columns):
+                    raise DataError(f"{path}:{lineno}: expected {len(columns)} fields")
+                parsed = []
+                for name, cell in zip(columns, row):
+                    try:
+                        parsed.append(int(cell))
+                    except ValueError:
+                        raise DataError(
+                            f"{path}:{lineno}: non-integer value {cell!r} in column {name!r}"
+                        )
+                rows.append(parsed)
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read {path}: {e}")
     if not rows:
         raise DataError(f"no data rows in {path}")
     arr = np.asarray(rows, dtype=np.int64)
@@ -259,18 +259,21 @@ def cmd_analyze(args) -> int:
         raise UsageError("-k must be >= 1")
     cfg = EmbeddingConfig(args.k, args.input_lag)
     try:
-        tables = [count_joint(x, u, cfg) for x, u in zip(xs, us)]
-        results = []
-        for m in measures:
-            if len(tables) == 1:
-                res = infodyn.compute(m, tables[0], local=args.local)
-            else:
-                profiles = [infodyn.local_profile(m, t) for t in tables]
-                res = infodyn.ensemble_average(profiles)
-            results.append(_result_dict(res, include_local=args.local))
+        # One evaluation per table serves every measure.
+        per_table = [
+            infodyn.evaluate(measures, count_joint(x, u, cfg), local=args.local or len(xs) > 1)
+            for x, u in zip(xs, us)
+        ]
+        if len(per_table) == 1:
+            results = per_table[0]
+        else:
+            results = [
+                infodyn.ensemble_average([col[i].local for col in per_table])
+                for i in range(len(measures))
+            ]
     except ValueError as e:
         raise DataError(str(e))
-    _emit(results, args.format or "json", args.local)
+    _emit([_result_dict(r, args.local) for r in results], args.format or "json", args.local)
     return EXIT_OK
 
 
@@ -319,9 +322,7 @@ def cmd_oracle(args) -> int:
             joint = procsim.oracle_joint(proc, unit, k)
         except ValueError as e:
             raise UsageError(str(e))
-        for m in measures:
-            res = infodyn.compute(m, joint, k=k)
-            results.append(_result_dict(res))
+        results += [_result_dict(r) for r in infodyn.evaluate(measures, joint, k=k)]
     _emit(results, args.format, include_local=False)
     return EXIT_OK
 
@@ -351,6 +352,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except procsim.ConvergenceError as e:
         _emit_error("numerical", str(e))
+        return EXIT_NUMERICAL
+    except MemoryError:
+        _emit_error("numerical", "out of memory; reduce k")
         return EXIT_NUMERICAL
     except ValueError as e:
         _emit_error("usage", str(e))

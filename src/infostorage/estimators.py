@@ -58,7 +58,8 @@ class Distribution:
 
 
 def plugin_distribution(table: JointCountTable) -> Distribution:
-    """Maximum-likelihood (plug-in) distribution: counts / total."""
+    """Maximum-likelihood (plug-in) distribution: counts / total, as a
+    dense (history, next, input) table."""
     total = table.total
     if total == 0:
         raise ValueError("cannot normalize an empty count table")
@@ -68,7 +69,9 @@ def plugin_distribution(table: JointCountTable) -> Distribution:
         table.alphabet_x,
         table.alphabet_u if table.alphabet_u is not None else Alphabet(1),
     )
-    return Distribution(axes, table.counts / total)
+    probs = np.zeros(tuple(a.size for a in axes))
+    probs.ravel()[table.cells] = table.counts / total
+    return Distribution(axes, probs)
 
 
 def _axes_tuple(axes: Iterable[int]) -> tuple[int, ...]:

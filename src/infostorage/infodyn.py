@@ -18,17 +18,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .estimators import (
-    Distribution,
-    conditional_mutual_information,
-    mutual_information,
-    plugin_distribution,
-)
+from .estimators import Distribution
 from .symseq import EmbeddingConfig, JointCountTable, SymbolSeries, count_joint, decode_history
 
 MEASURES = ("ais", "icais", "interaction")
-
-_H_AXIS, _X_AXIS, _U_AXIS = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -67,175 +60,188 @@ class MeasureResult:
     local: LocalProfile | None = None
 
 
-def _as_distribution(source) -> tuple[Distribution, JointCountTable | None]:
-    if isinstance(source, Distribution):
-        return source, None
+def _weighted_cells(source) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Sorted flat cell codes of a source's support, their probabilities,
+    and the source's (|X|, |U|)."""
     if isinstance(source, JointCountTable):
-        return plugin_distribution(source), source
+        total = source.total
+        if total == 0:
+            raise ValueError("cannot evaluate an empty count table")
+        return source.cells, source.counts / total, source.alphabet_x.size, source.n_inputs
+    if isinstance(source, Distribution):
+        if source.n_axes != 3:
+            raise ValueError("joint distribution must have (history, next, input) axes")
+        flat = source.probs.ravel()
+        codes = np.flatnonzero(flat)
+        _, nx, nu = source.probs.shape
+        return codes, flat[codes], nx, nu
     raise TypeError(f"expected JointCountTable or Distribution, got {type(source)!r}")
 
 
-def _require_table(source) -> JointCountTable:
-    if not isinstance(source, JointCountTable):
-        raise TypeError("local profiles need an empirical count table with transitions")
-    if source.transitions is None:
-        raise ValueError("count table carries no per-transition record")
-    return source
+def _grouped(keys: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Per cell, the total probability of the cells sharing its key."""
+    _, inverse = np.unique(keys, return_inverse=True)
+    return np.bincount(inverse, weights=p)[inverse]
 
 
-def _resolve_k(table: JointCountTable | None, k: int | None) -> int:
-    if table is not None:
-        return table.k
-    if k is None:
-        raise ValueError("k must be given when evaluating a bare distribution")
-    return k
+@dataclass(frozen=True)
+class _Cells:
+    """The support of a source with each cell's probability and local values.
+
+    Local AIS is log2 p(h, x') - log2 p(h) - log2 p(x'); local icAIS is
+    log2 p(x' | h, u') - log2 p(x' | u'); local interaction is their
+    difference, so the identity holds cell by cell.
+    """
+
+    codes: np.ndarray
+    p: np.ndarray
+    n_inputs: int
+    values: dict[str, np.ndarray]
 
 
-def _check_input_dim(d: Distribution, table: JointCountTable | None):
-    if table is not None and table.alphabet_u is None:
-        raise ValueError("measure requires an input dimension; counts have none")
-    if d.n_axes != 3:
-        raise ValueError("joint distribution must have (history, next, input) axes")
+def _evaluate(source) -> _Cells:
+    codes, p, nx, nu = _weighted_cells(source)
+    hx, u = np.divmod(codes, nu)
+    h, x = np.divmod(hx, nx)
+    ais_v = np.log2(_grouped(hx, p)) - np.log2(_grouped(h, p)) - np.log2(_grouped(x, p))
+    icais_v = (
+        np.log2(p)
+        + np.log2(_grouped(u, p))
+        - np.log2(_grouped(h * nu + u, p))
+        - np.log2(_grouped(x * nu + u, p))
+    )
+    values = {"ais": ais_v, "icais": icais_v, "interaction": icais_v - ais_v}
+    return _Cells(codes, p, nu, values)
 
 
-def _local_ais_cells(d: Distribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    p_hx = d.probs.sum(axis=_U_AXIS)
-    p_h = p_hx.sum(axis=1)
-    p_x = p_hx.sum(axis=0)
-    return p_hx, p_h, p_x
+def _check_measures(measures: Sequence[str], source) -> None:
+    for m in measures:
+        if m not in MEASURES:
+            raise ValueError(f"unknown measure {m!r}; expected one of {MEASURES}")
+        if (
+            m != "ais"
+            and isinstance(source, JointCountTable)
+            and source.alphabet_u is None
+        ):
+            raise ValueError(f"measure {m!r} requires an input dimension; counts have none")
 
 
-def _safe_log2(p: np.ndarray, what: str, table: JointCountTable) -> np.ndarray:
-    if np.any(p <= 0):
-        i = int(np.argmax(p <= 0))
-        h, x, _ = table.transitions[i]
-        hist = decode_history(int(h), table.k, table.alphabet_x.size)
+def _held_out(cells: _Cells, measure: str, table: JointCountTable) -> np.ndarray:
+    """Values of ``measure`` at the table's observed cells, looked up among
+    a separately evaluated distribution's cells.
+
+    AIS depends on (history, next) only, so it is looked up by that pair;
+    the other measures by the whole cell.
+    """
+    if measure == "ais":
+        keys, queries = cells.codes // cells.n_inputs, table.cells // table.n_inputs
+        what = "p(history, next)"
+    else:
+        if cells.n_inputs != table.n_inputs:
+            raise ValueError("distribution and count table have different input alphabets")
+        keys, queries = cells.codes, table.cells
+        what = "p(history, next, input)"
+    idx = np.minimum(np.searchsorted(keys, queries), keys.size - 1)
+    missing = keys[idx] != queries
+    if np.any(missing):
+        code = int(table.cells[np.argmax(missing)]) // table.n_inputs
+        nx = table.alphabet_x.size
+        hist = decode_history(code // nx, table.k, nx)
         raise ValueError(
-            f"observed transition (history={hist}, next={int(x)}) has zero "
+            f"observed transition (history={hist}, next={code % nx}) has zero "
             f"probability under the supplied distribution ({what})"
         )
-    return np.log2(p)
+    return cells.values[measure][idx]
 
 
-def local_ais(table: JointCountTable, dist: Distribution | None = None) -> LocalProfile:
-    """Local active storage per transition:
-    log2 p(h, x') - log2 p(h) - log2 p(x').
+def _steps(measure: str, per_cell: np.ndarray, table: JointCountTable) -> LocalProfile:
+    """Spread per-cell values of the table's cells over its time steps."""
+    return LocalProfile(measure, table.k, per_cell[table.transitions], table.start_index)
+
+
+def evaluate(
+    measures: Sequence[str], source, *, k: int | None = None, local: bool = False
+) -> list[MeasureResult]:
+    """Evaluate several measures from one pass over the source's cells.
+
+    ``source`` is an empirical JointCountTable (plug-in estimation) or an
+    exact joint Distribution (then ``k`` must be given).  Each average is
+    the probability-weighted sum of the per-cell local values; ``local``
+    attaches per-step profiles, which exist for count tables only.
+    """
+    _check_measures(measures, source)
+    table = source if isinstance(source, JointCountTable) else None
+    if table is None and k is None:
+        raise ValueError("k must be given when evaluating a bare distribution")
+    cells = _evaluate(source)
+    return [
+        MeasureResult(
+            measure=m,
+            k=table.k if table is not None else k,
+            average_bits=float(cells.p @ cells.values[m]),
+            n_transitions=table.total if table is not None else 0,
+            source="empirical" if table is not None else "oracle",
+            local=_steps(m, cells.values[m], table) if local and table is not None else None,
+        )
+        for m in measures
+    ]
+
+
+def compute(measure: str, source, *, k: int | None = None, local: bool = False) -> MeasureResult:
+    """Dispatch by measure name ('ais' | 'icais' | 'interaction')."""
+    return evaluate([measure], source, k=k, local=local)[0]
+
+
+def ais(source, *, k: int | None = None, local: bool = False) -> MeasureResult:
+    """Average active information storage I(history; next), in bits."""
+    return compute("ais", source, k=k, local=local)
+
+
+def icais(source, *, k: int | None = None, local: bool = False) -> MeasureResult:
+    """Average input-corrected storage I(history; next | input), in bits."""
+    return compute("icais", source, k=k, local=local)
+
+
+def interaction(source, *, k: int | None = None, local: bool = False) -> MeasureResult:
+    """Average interaction information: icAIS minus AIS, in bits."""
+    return compute("interaction", source, k=k, local=local)
+
+
+def local_profile(measure: str, table: JointCountTable, dist: Distribution | None = None) -> LocalProfile:
+    """Per-transition local values of ``measure``.
 
     ``dist`` defaults to the plug-in distribution of the same table;
     passing a separately estimated (or exact) distribution gives held-out
     local values.
     """
-    table = _require_table(table)
-    d = dist if dist is not None else plugin_distribution(table)
-    p_hx, p_h, p_x = _local_ais_cells(d)
-    h, x, _ = table.transitions.T
-    vals = (
-        _safe_log2(p_hx[h, x], "p(history, next)", table)
-        - np.log2(p_h[h])
-        - np.log2(p_x[x])
-    )
-    return LocalProfile("ais", table.k, vals, table.start_index)
+    if not isinstance(table, JointCountTable):
+        raise TypeError("local profiles need an empirical count table")
+    _check_measures([measure], table)
+    if dist is None:
+        return _steps(measure, _evaluate(table).values[measure], table)
+    nx = table.alphabet_x.size
+    if dist.probs.shape[:2] != (nx**table.k, nx):
+        raise ValueError("distribution axes do not match the count table's history and next")
+    return _steps(measure, _held_out(_evaluate(dist), measure, table), table)
+
+
+def local_ais(table: JointCountTable, dist: Distribution | None = None) -> LocalProfile:
+    """Local active storage per transition:
+    log2 p(h, x') - log2 p(h) - log2 p(x')."""
+    return local_profile("ais", table, dist)
 
 
 def local_icais(table: JointCountTable, dist: Distribution | None = None) -> LocalProfile:
     """Local input-corrected storage per transition:
     log2 p(x' | h, u') - log2 p(x' | u')."""
-    table = _require_table(table)
-    d = dist if dist is not None else plugin_distribution(table)
-    _check_input_dim(d, table)
-    p = d.probs
-    p_hu = p.sum(axis=_X_AXIS)
-    p_xu = p.sum(axis=_H_AXIS)
-    p_u = p_xu.sum(axis=0)
-    h, x, u = table.transitions.T
-    vals = (
-        _safe_log2(p[h, x, u], "p(history, next, input)", table)
-        + np.log2(p_u[u])
-        - np.log2(p_hu[h, u])
-        - np.log2(p_xu[x, u])
-    )
-    return LocalProfile("icais", table.k, vals, table.start_index)
+    return local_profile("icais", table, dist)
 
 
 def local_interaction(table: JointCountTable, dist: Distribution | None = None) -> LocalProfile:
     """Local interaction information: local icAIS minus local AIS on the
     shared distribution.  Negative values flag redundancy between history
     and input, positive values synergy."""
-    table = _require_table(table)
-    d = dist if dist is not None else plugin_distribution(table)
-    a = local_ais(table, d)
-    c = local_icais(table, d)
-    return LocalProfile("interaction", table.k, c.values - a.values, table.start_index)
-
-
-def ais(source, *, k: int | None = None, local: bool = False) -> MeasureResult:
-    """Average active information storage I(history; next), in bits."""
-    d, table = _as_distribution(source)
-    avg = mutual_information(d, (_H_AXIS,), (_X_AXIS,))
-    profile = local_ais(table, d) if local and table is not None else None
-    return MeasureResult(
-        measure="ais",
-        k=_resolve_k(table, k),
-        average_bits=avg,
-        n_transitions=table.total if table is not None else 0,
-        source="empirical" if table is not None else "oracle",
-        local=profile,
-    )
-
-
-def icais(source, *, k: int | None = None, local: bool = False) -> MeasureResult:
-    """Average input-corrected storage I(history; next | input), in bits."""
-    d, table = _as_distribution(source)
-    _check_input_dim(d, table)
-    avg = conditional_mutual_information(d, (_H_AXIS,), (_X_AXIS,), (_U_AXIS,))
-    profile = local_icais(table, d) if local and table is not None else None
-    return MeasureResult(
-        measure="icais",
-        k=_resolve_k(table, k),
-        average_bits=avg,
-        n_transitions=table.total if table is not None else 0,
-        source="empirical" if table is not None else "oracle",
-        local=profile,
-    )
-
-
-def interaction(source, *, k: int | None = None, local: bool = False) -> MeasureResult:
-    """Average interaction information: icAIS minus AIS, in bits."""
-    d, table = _as_distribution(source)
-    _check_input_dim(d, table)
-    avg = conditional_mutual_information(
-        d, (_H_AXIS,), (_X_AXIS,), (_U_AXIS,)
-    ) - mutual_information(d, (_H_AXIS,), (_X_AXIS,))
-    profile = local_interaction(table, d) if local and table is not None else None
-    return MeasureResult(
-        measure="interaction",
-        k=_resolve_k(table, k),
-        average_bits=avg,
-        n_transitions=table.total if table is not None else 0,
-        source="empirical" if table is not None else "oracle",
-        local=profile,
-    )
-
-
-_MEASURE_FNS = {"ais": ais, "icais": icais, "interaction": interaction}
-_LOCAL_FNS = {"ais": local_ais, "icais": local_icais, "interaction": local_interaction}
-
-
-def compute(measure: str, source, *, k: int | None = None, local: bool = False) -> MeasureResult:
-    """Dispatch by measure name ('ais' | 'icais' | 'interaction')."""
-    try:
-        fn = _MEASURE_FNS[measure]
-    except KeyError:
-        raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    return fn(source, k=k, local=local)
-
-
-def local_profile(measure: str, table: JointCountTable, dist: Distribution | None = None) -> LocalProfile:
-    try:
-        fn = _LOCAL_FNS[measure]
-    except KeyError:
-        raise ValueError(f"unknown measure {measure!r}; expected one of {MEASURES}")
-    return fn(table, dist)
+    return local_profile("interaction", table, dist)
 
 
 def ensemble_average(profiles: Sequence[LocalProfile]) -> MeasureResult:
@@ -279,16 +285,12 @@ def sweep_k(
     if ks[0] < 1:
         raise ValueError("history lengths must be >= 1")
     measures = list(measures)
-    for m in measures:
-        if m not in MEASURES:
-            raise ValueError(f"unknown measure {m!r}; expected one of {MEASURES}")
+    _check_measures(measures, None)
     kmax = ks[-1]
     results = []
     for k in ks:
         off = kmax - k
         xs = SymbolSeries(x.alphabet, x.data[off:])
         us = SymbolSeries(u.alphabet, u.data[off:]) if u is not None else None
-        table = count_joint(xs, us, EmbeddingConfig(k, input_lag))
-        for m in measures:
-            results.append(compute(m, table))
+        results += evaluate(measures, count_joint(xs, us, EmbeddingConfig(k, input_lag)))
     return results

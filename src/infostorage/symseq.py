@@ -1,23 +1,19 @@
 """Symbol sequences, history embedding, and joint transition counting.
 
 Everything downstream (plug-in estimation, storage measures) consumes the
-JointCountTable produced here: occurrence counts over
-(history-of-k, next-symbol, input-symbol) triples.
+JointCountTable produced here: occurrence counts of the observed
+(history-of-k, next-symbol, input-symbol) cells.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-# Dense tables are capped at this many history cells (|X|**k); larger
-# embeddings must shrink k or the alphabet.
-DENSE_HISTORY_CELL_LIMIT = 2**20
-
-DIMS = ("history", "next", "input")
+# Flat cell codes are int64, so |X|**k * |X| * |U| must stay below this.
+_CODE_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -70,10 +66,6 @@ class SymbolSeries:
     def __len__(self) -> int:
         return int(self.data.size)
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
     @classmethod
     def from_values(cls, values: Sequence, alphabet: Alphabet | None = None):
         """Ingest arbitrary hashable labels, mapping them to dense codes.
@@ -125,10 +117,11 @@ def history_codes(x: np.ndarray, k: int, base: int) -> np.ndarray:
 
     The oldest symbol is the most significant digit.
     """
-    n = x.size
-    codes = np.zeros(n - k + 1, dtype=np.int64)
+    m = x.size - k + 1
+    codes = np.zeros(m, dtype=np.int64)
     for j in range(k):
-        codes = codes * base + x[j : j + n - k + 1]
+        codes *= base
+        codes += x[j : j + m]
     return codes
 
 
@@ -141,75 +134,49 @@ def decode_history(code: int, k: int, base: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def embed(series: SymbolSeries, cfg: EmbeddingConfig) -> list[tuple[tuple[int, ...], int]]:
-    """Unroll a series into (length-k history, next symbol) pairs.
-
-    Pair t has history (x_t, ..., x_{t+k-1}) and next x_{t+k}; the first k
-    samples seed the first history and are never a `next`.
-    """
-    k = cfg.k
-    n = len(series)
-    if n < k + 1:
-        raise ValueError(
-            f"series of length {n} too short for k={k}; need length >= {k + 1}"
-        )
-    x = series.data
-    return [(tuple(int(v) for v in x[m - k : m]), int(x[m])) for m in range(k, n)]
-
-
 @dataclass(frozen=True)
 class JointCountTable:
-    """Counts over (history, next, input) triples; the sufficient statistic.
+    """Counts of the observed (history, next, input) cells; the sufficient
+    statistic.
 
-    ``counts`` has shape (|X|**k, |X|, |U|); the input axis has size 1 when
-    counting without an input.  ``transitions`` keeps the per-time-step
-    (history code, next, input) triples so local measures stay aligned to
-    the analyzed series; ``start_index`` is the position of the first
-    analyzed `next` symbol.
+    A cell's flat code is ``(h * |X| + x) * |U| + u``, h being the radix
+    code of the history (see ``history_codes``) and |U| being 1 when
+    counting without an input.  ``cells`` holds the sorted codes of the
+    cells seen at least once, ``counts[i]`` how often cell ``cells[i]``
+    was seen, and ``transitions[t]`` the index into ``cells`` of the
+    transition whose `next` symbol sits at series index
+    ``start_index + t``, so local measures stay aligned to the series.
+    Memory is O(N + observed cells), whatever the alphabet sizes.
     """
 
     k: int
     alphabet_x: Alphabet
     alphabet_u: Alphabet | None
+    cells: np.ndarray
     counts: np.ndarray
-    transitions: np.ndarray | None = None
+    transitions: np.ndarray
     start_index: int = 0
-    dims: tuple[str, ...] = DIMS
 
     def __post_init__(self):
-        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if counts.ndim != 3:
-            raise ValueError("counts must be a 3-d array (history, next, input)")
-        if counts.min() < 0:
+        for name in ("cells", "counts", "transitions"):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=np.int64).view()
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be one-dimensional")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if self.cells.shape != self.counts.shape:
+            raise ValueError("cells and counts must have the same length")
+        if self.counts.size and self.counts.min() < 0:
             raise ValueError("counts must be non-negative")
-        counts = counts.copy()
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+
+    @property
+    def n_inputs(self) -> int:
+        """|U|, the size of the input axis (1 without an input)."""
+        return self.alphabet_u.size if self.alphabet_u is not None else 1
 
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    @property
-    def n_history_cells(self) -> int:
-        return self.counts.shape[0]
-
-    def as_dict(self) -> dict:
-        """Counts keyed by the live dimensions; histories decoded to tuples."""
-        out = {}
-        nz = np.argwhere(self.counts)
-        for h, x, u in nz:
-            key = []
-            if "history" in self.dims:
-                key.append(decode_history(int(h), self.k, self.alphabet_x.size))
-            if "next" in self.dims:
-                key.append(int(x))
-            if "input" in self.dims:
-                key.append(int(u))
-            out[key[0] if len(key) == 1 else tuple(key)] = int(
-                self.counts[h, x, u]
-            )
-        return out
 
 
 def count_joint(
@@ -217,7 +184,7 @@ def count_joint(
     u: SymbolSeries | None = None,
     cfg: EmbeddingConfig = EmbeddingConfig(1),
 ) -> JointCountTable:
-    """Count (history, next, input) triples over all embedded transitions.
+    """Count (history, next, input) cells over all embedded transitions.
 
     When a lag L > 1 would reach before the start of the input series, the
     first L-1 transitions are dropped, so the total is always
@@ -232,51 +199,24 @@ def count_joint(
     start = _check_length(n, cfg if u is not None else EmbeddingConfig(cfg.k))
     k = cfg.k
     nx = x.alphabet.size
-    nh = nx**k
-    if nh > DENSE_HISTORY_CELL_LIMIT:
-        raise ValueError(
-            f"history space |X|^k = {nh} exceeds the dense table limit "
-            f"{DENSE_HISTORY_CELL_LIMIT}; reduce k"
-        )
     nu = u.alphabet.size if u is not None else 1
-
-    m = np.arange(start, n)
-    codes = history_codes(x.data, k, nx)
-    h = codes[m - k]
-    xn = x.data[m]
-    un = u.data[m - cfg.input_lag] if u is not None else np.zeros(m.size, dtype=np.int64)
-
-    flat = (h * nx + xn) * nu + un
-    counts = np.bincount(flat, minlength=nh * nx * nu).reshape(nh, nx, nu)
-    transitions = np.stack([h, xn, un], axis=1)
+    if nx ** (k + 1) * nu >= _CODE_LIMIT:
+        raise ValueError(
+            f"cell space |X|^k * |X| * |U| = {nx}^{k} * {nx} * {nu} does not "
+            "fit a 64-bit code; reduce k"
+        )
+    # A length-(k+1) window codes (history, next) as h * |X| + x.
+    flat = history_codes(x.data, k + 1, nx)[start - k :]
+    if u is not None:
+        flat *= nu
+        flat += u.data[start - cfg.input_lag : n - cfg.input_lag]
+    cells, transitions, counts = np.unique(flat, return_inverse=True, return_counts=True)
     return JointCountTable(
         k=k,
         alphabet_x=x.alphabet,
         alphabet_u=u.alphabet if u is not None else None,
+        cells=cells,
         counts=counts,
         transitions=transitions,
         start_index=start,
-    )
-
-
-def marginalize(table: JointCountTable, dims: Iterable[str]) -> JointCountTable:
-    """Sum out all dimensions not in ``dims`` (the set to keep)."""
-    keep = tuple(d for d in DIMS if d in set(dims))
-    unknown = set(dims) - set(DIMS)
-    if unknown:
-        raise ValueError(f"unknown dimensions: {sorted(unknown)}")
-    if not keep:
-        raise ValueError("dims must be a nonempty subset of (history, next, input)")
-    if set(keep) >= set(table.dims):
-        raise ValueError("dims must be a proper subset; nothing to marginalize")
-    drop_axes = tuple(i for i, d in enumerate(DIMS) if d not in keep)
-    counts = table.counts.sum(axis=drop_axes, keepdims=True)
-    return JointCountTable(
-        k=table.k,
-        alphabet_x=table.alphabet_x,
-        alphabet_u=table.alphabet_u,
-        counts=counts,
-        transitions=None,
-        start_index=table.start_index,
-        dims=keep,
     )

@@ -18,15 +18,23 @@ def naive_count(x, u, cfg):
     return counts
 
 
+def step_cells(table):
+    """Per-step (history code, next, input) arrays, decoded from the table."""
+    hx, u = np.divmod(table.cells[table.transitions], table.n_inputs)
+    h, x = np.divmod(hx, table.alphabet_x.size)
+    return h, x, u
+
+
 def table_to_dict(table):
     """Flatten a JointCountTable into the naive_count key convention."""
     from infostorage.symseq import decode_history
 
+    nx = table.alphabet_x.size
     out = {}
-    nz = np.argwhere(table.counts)
-    for h, xn, un in nz:
-        key = (decode_history(int(h), table.k, table.alphabet_x.size), int(xn), int(un))
-        out[key] = int(table.counts[h, xn, un])
+    for code, n in zip(table.cells.tolist(), table.counts.tolist()):
+        hx, un = divmod(code, table.n_inputs)
+        h, xn = divmod(hx, nx)
+        out[(decode_history(h, table.k, nx), xn, un)] = n
     return out
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,40 @@ class TestAnalyze:
         assert outs[0] == outs[1]
 
 
+    def test_directory_is_data_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "analyze", "--data", str(tmp_path), "--measure", "ais", "-k", "1")
+        assert code == 2
+        assert json.loads(err)["error"] == "data"
+
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "binary.csv"
+        p.write_bytes(b"\xff\xfe\xfa")
+        code, _, err = run(capsys, "analyze", "--data", str(p), "--measure", "ais", "-k", "1")
+        assert code == 2
+        assert json.loads(err)["error"] == "data"
+
+    def test_large_symbol_bounded_memory(self, tmp_path, capsys):
+        # one symbol of 10**6: the table holds observed cells only
+        values = [0, 1] * 500
+        values[500] = 10**6
+        p = tmp_path / "wide.csv"
+        p.write_text("output\n" + "\n".join(map(str, values)) + "\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "analyze", "--data", str(p), "-k", "1", "--local")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < 50 * 2**20
+        (res,) = read_jsonl(out)
+        assert res["n_transitions"] == 999
+        # (10**6 + 1)**4 cells do not fit a 64-bit code
+        code, _, err = run(capsys, "analyze", "--data", str(p), "-k", "3")
+        assert code == 2
+        assert "reduce k" in json.loads(err)["message"]
+
+
 class TestSweep:
     def test_header_and_rows(self, tmp_path, capsys):
         p = gen_file(tmp_path, capsys, "markov:p_stay=0.7", "forwarding", 50_000)
@@ -243,3 +278,19 @@ class TestOracle:
             "--measure", "ais", "-k", "1",
         )
         assert code == 1
+
+    def test_memory_error_is_numerical(self, capsys, monkeypatch):
+        from infostorage import procsim
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(procsim, "oracle_joint", exhausted)
+        code, _, err = run(
+            capsys, "oracle", "--process", "bernoulli:p=0.5", "--unit", "xor",
+            "--measure", "ais", "-k", "14",
+        )
+        assert code == 3
+        msg = json.loads(err)
+        assert msg["error"] == "numerical"
+        assert "reduce k" in msg["message"]

@@ -52,7 +52,9 @@ class TestPluginDistribution:
         x = random_series(rng, 50, 2)
         t = count_joint(x, None, EmbeddingConfig(1))
         d = plugin_distribution(t)
-        assert np.allclose(d.probs * t.total, t.counts)
+        dense = np.zeros(d.probs.size)
+        dense[t.cells] = t.counts
+        assert np.allclose(d.probs.ravel() * t.total, dense)
 
     def test_degenerate(self):
         from infostorage import SymbolSeries
@@ -64,7 +66,8 @@ class TestPluginDistribution:
     def test_empty_rejected(self):
         from infostorage.symseq import JointCountTable
 
-        empty = JointCountTable(1, BINARY, None, np.zeros((2, 2, 1), dtype=int))
+        none = np.zeros(0, dtype=int)
+        empty = JointCountTable(1, BINARY, None, none, none, none)
         with pytest.raises(ValueError):
             plugin_distribution(empty)
 

@@ -3,12 +3,17 @@ import pytest
 
 from infostorage import (
     BINARY,
+    MEASURES,
+    Alphabet,
+    Distribution,
     EmbeddingConfig,
     ProcessSpec,
     SymbolSeries,
     TableUnit,
     UnitSpec,
     ais,
+    compute,
+    conditional_mutual_information,
     count_joint,
     ensemble_average,
     generate_input,
@@ -17,13 +22,15 @@ from infostorage import (
     local_ais,
     local_icais,
     local_interaction,
+    mutual_information,
     oracle_joint,
     plugin_distribution,
     simulate_unit,
     sweep_k,
 )
+from infostorage.infodyn import local_profile
 
-from conftest import random_series
+from conftest import random_series, step_cells
 
 U1 = ProcessSpec("bernoulli", p=0.5, seed=11)
 U2 = ProcessSpec("markov_binary", p_stay=0.7, seed=22)
@@ -52,7 +59,7 @@ class TestLocalAis:
         t = empirical_table(U2, FWD, 200_000)
         d = oracle_joint(U2, FWD, 1)
         prof = local_ais(t, d)
-        x_prev, x_next = t.transitions[:, 0], t.transitions[:, 1]
+        x_prev, x_next, _ = step_cells(t)
         repeat = x_prev == x_next
         assert np.allclose(prof.values[repeat], np.log2(1.4), atol=1e-12)
         assert np.allclose(prof.values[~repeat], np.log2(0.6), atol=1e-12)
@@ -238,3 +245,110 @@ class TestAverageNonnegativity:
             t = count_joint(x, u, EmbeddingConfig(1))
             assert ais(t).average_bits >= -1e-9
             assert icais(t).average_bits >= -1e-9
+
+
+def entropy_reference(d):
+    """The three averages through the entropy-based MI and CMI."""
+    mi = mutual_information(d, (0,), (1,))
+    cmi = conditional_mutual_information(d, (0,), (1,), (2,))
+    return {"ais": mi, "icais": cmi, "interaction": cmi - mi}
+
+
+class TestAgainstEntropyReference:
+    def test_random_tables(self, rng):
+        # alphabets <= 3, k <= 3, input lags 0..2
+        for _ in range(150):
+            n = int(rng.integers(10, 300))
+            nx, nu = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            cfg = EmbeddingConfig(int(rng.integers(1, 4)), int(rng.integers(0, 3)))
+            t = count_joint(random_series(rng, n, nx), random_series(rng, n, nu), cfg)
+            want = entropy_reference(plugin_distribution(t))
+            for m in MEASURES:
+                assert abs(compute(m, t).average_bits - want[m]) < 1e-12
+
+    def test_oracle_distributions(self):
+        for k in range(1, 7):
+            for proc in (U1, U2):
+                for unit in (FWD, XOR):
+                    d = oracle_joint(proc, unit, k)
+                    want = entropy_reference(d)
+                    for m in MEASURES:
+                        assert abs(compute(m, d, k=k).average_bits - want[m]) < 1e-12
+
+
+def loop_locals(x, u, cfg, d):
+    """Held-out local values by a per-step loop over the series.
+
+    AIS reads p(history, next) and its marginals, icAIS reads
+    p(history, next, input) and its marginals.
+    """
+    k, lag = cfg.k, cfg.input_lag
+    p = d.probs
+    p_hx = p.sum(axis=2)
+    p_hu, p_xu = p.sum(axis=1), p.sum(axis=0)
+    out = {m: [] for m in MEASURES}
+    for m in range(k + max(0, lag - 1), len(x)):
+        h = 0
+        for v in x.data[m - k : m]:
+            h = h * x.alphabet.size + int(v)
+        xn, un = int(x.data[m]), int(u.data[m - lag])
+        a = np.log2(p_hx[h, xn]) - np.log2(p_hx[h].sum()) - np.log2(p_hx[:, xn].sum())
+        c = (
+            np.log2(p[h, xn, un])
+            + np.log2(p_xu[:, un].sum())
+            - np.log2(p_hu[h, un])
+            - np.log2(p_xu[xn, un])
+        )
+        out["ais"].append(a)
+        out["icais"].append(c)
+        out["interaction"].append(c - a)
+    return out
+
+
+def random_distribution(rng, nx, nu, k):
+    shape = (nx**k, nx, nu)
+    probs = rng.random(shape) + 0.05
+    return Distribution(
+        (Alphabet(shape[0]), Alphabet(nx), Alphabet(nu)), probs / probs.sum()
+    )
+
+
+class TestHeldOutLocals:
+    def test_match_loop_reference(self, rng):
+        for _ in range(30):
+            nx, nu = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            cfg = EmbeddingConfig(int(rng.integers(1, 4)), int(rng.integers(0, 3)))
+            x, u = random_series(rng, 200, nx), random_series(rng, 200, nu)
+            t = count_joint(x, u, cfg)
+            d = random_distribution(rng, nx, nu, cfg.k)
+            want = loop_locals(x, u, cfg, d)
+            for m in MEASURES:
+                got = local_profile(m, t, d).values
+                assert np.max(np.abs(got - np.array(want[m]))) < 1e-12
+
+    def test_ais_without_input_against_joint(self, rng):
+        # a table without input reads only p(history, next) of the joint
+        x, u = random_series(rng, 200, 2), random_series(rng, 200, 2)
+        d = random_distribution(rng, 2, 2, 2)
+        bare = local_ais(count_joint(x, None, EmbeddingConfig(2)), d)
+        full = local_ais(count_joint(x, u, EmbeddingConfig(2)), d)
+        assert np.array_equal(bare.values, full.values)
+
+    def test_missing_cell_fails_only_where_read(self, rng):
+        x, u = random_series(rng, 200, 2), random_series(rng, 200, 2)
+        t = count_joint(x, u, EmbeddingConfig(1))
+        probs = random_distribution(rng, 2, 2, 1).probs.copy()
+        h, xn, un = int(x.data[0]), int(x.data[1]), int(u.data[1])
+        probs[h, xn, un] = 0.0
+        d = Distribution((BINARY,) * 3, probs / probs.sum())
+        # (history, next) keeps mass through the other input symbol
+        with np.errstate(divide="ignore"):
+            want = loop_locals(x, u, EmbeddingConfig(1), d)["ais"]
+        assert np.allclose(local_ais(t, d).values, want, atol=1e-12)
+        for fn in (local_icais, local_interaction):
+            with pytest.raises(ValueError, match="zero probability"):
+                fn(t, d)
+        probs[h, xn, :] = 0.0
+        d = Distribution((BINARY,) * 3, probs / probs.sum())
+        with pytest.raises(ValueError, match="zero probability"):
+            local_ais(t, d)

@@ -7,12 +7,10 @@ from infostorage import (
     EmbeddingConfig,
     SymbolSeries,
     count_joint,
-    embed,
-    marginalize,
 )
 from infostorage.symseq import decode_history, history_codes
 
-from conftest import naive_count, random_series, table_to_dict
+from conftest import naive_count, random_series, step_cells, table_to_dict
 
 
 def bseries(data):
@@ -53,31 +51,6 @@ class TestSymbolSeries:
         s = SymbolSeries.from_values(["lo", "hi", "hi", "lo"])
         assert s.alphabet.labels == ("hi", "lo")
         assert s.data.tolist() == [1, 0, 0, 1]
-
-
-class TestEmbed:
-    def test_k1_pairs(self):
-        pairs = embed(bseries([0, 1, 1, 0]), EmbeddingConfig(1))
-        assert pairs == [((0,), 1), ((1,), 1), ((1,), 0)]
-
-    def test_single_window(self):
-        pairs = embed(bseries([0, 1, 1, 0]), EmbeddingConfig(3))
-        assert pairs == [((0, 1, 1), 0)]
-
-    def test_too_short(self):
-        with pytest.raises(ValueError, match="length >= 3"):
-            embed(bseries([0, 1]), EmbeddingConfig(2))
-
-    def test_lossless_reconstruction(self, rng):
-        for size in (2, 3):
-            for k in (1, 2, 3):
-                x = random_series(rng, 40, size)
-                pairs = embed(x, EmbeddingConfig(k))
-                rebuilt = [nxt for _, nxt in pairs]
-                assert rebuilt == x.data[k:].tolist()
-                # each history window matches the raw series too
-                for i, (h, _) in enumerate(pairs):
-                    assert h == tuple(x.data[i : i + k])
 
 
 class TestHistoryCodes:
@@ -136,27 +109,16 @@ class TestCountJoint:
         x = random_series(rng, 50, 2)
         t = count_joint(x, None, EmbeddingConfig(3))
         assert t.start_index == 3
-        assert t.transitions[:, 1].tolist() == x.data[3:].tolist()
+        assert step_cells(t)[1].tolist() == x.data[3:].tolist()
 
+    def test_keeps_observed_cells_only(self):
+        # a symbol of 10**6 must not size the table by the alphabet
+        x = SymbolSeries(Alphabet(10**6 + 1), np.array([0, 10**6, 0, 10**6, 5]))
+        t = count_joint(x, None, EmbeddingConfig(1))
+        assert t.cells.size == t.counts.size == 3
+        assert table_to_dict(t) == {((0,), 10**6, 0): 2, ((10**6,), 0, 0): 1, ((10**6,), 5, 0): 1}
 
-class TestMarginalize:
-    def test_to_next(self):
-        x = bseries([0, 1, 0, 1])
-        u = bseries([1, 1, 1, 1])
-        t = count_joint(x, u, EmbeddingConfig(1))
-        m = marginalize(t, ["next"])
-        assert m.as_dict() == {1: 2, 0: 1}
-
-    def test_total_preserved(self, rng):
-        x = random_series(rng, 60, 3)
-        u = random_series(rng, 60, 2)
-        t = count_joint(x, u, EmbeddingConfig(2))
-        for dims in (["history"], ["next"], ["input"], ["history", "next"]):
-            assert marginalize(t, dims).total == t.total
-
-    def test_rejects_empty_and_full(self):
-        t = count_joint(bseries([0, 1, 0]), None, EmbeddingConfig(1))
-        with pytest.raises(ValueError):
-            marginalize(t, [])
-        with pytest.raises(ValueError):
-            marginalize(t, ["history", "next", "input"])
+    def test_code_overflow_rejected(self):
+        x = SymbolSeries(Alphabet(2**20), np.arange(10))
+        with pytest.raises(ValueError, match="reduce k"):
+            count_joint(x, None, EmbeddingConfig(3))
