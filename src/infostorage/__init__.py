@@ -39,13 +39,10 @@ from .infodyn import (
 )
 from .procsim import (
     ConvergenceError,
-    ForwardingUnit,
     MarkovChainModel,
     ProcessSpec,
     TableUnit,
-    Unit,
     UnitSpec,
-    XorMemoryUnit,
     build_joint_chain,
     exact_joint,
     generate_input,
@@ -53,7 +50,6 @@ from .procsim import (
     oracle_joint,
     simulate_unit,
     stationary_distribution,
-    stationary_from_matrix,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +60,6 @@ __all__ = [
     "ConvergenceError",
     "Distribution",
     "EmbeddingConfig",
-    "ForwardingUnit",
     "JointCountTable",
     "LocalProfile",
     "MEASURES",
@@ -73,9 +68,7 @@ __all__ = [
     "ProcessSpec",
     "SymbolSeries",
     "TableUnit",
-    "Unit",
     "UnitSpec",
-    "XorMemoryUnit",
     "ais",
     "build_joint_chain",
     "compute",
@@ -98,6 +91,5 @@ __all__ = [
     "plugin_distribution",
     "simulate_unit",
     "stationary_distribution",
-    "stationary_from_matrix",
     "sweep_k",
 ]

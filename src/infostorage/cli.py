@@ -170,7 +170,7 @@ def _result_dict(res: infodyn.MeasureResult, include_local: bool = False) -> dic
         "source": res.source,
     }
     if include_local and res.local is not None:
-        out["local"] = [float(v) for v in res.local.values]
+        out["local"] = res.local.values.tolist()
         out["start_index"] = res.local.start_index
     return out
 

@@ -1,10 +1,15 @@
-"""Input-process generators, computational units, and the exact oracle.
+"""Input-process generators, table-driven units, and the exact oracle.
 
-The oracle builds the Markov chain over composite (input symbol, last k
-unit outputs) states, finds its stationary distribution, and derives the
-exact joint p(history, next output, next input) that the storage measures
-consume.  Feeding that joint to the measures yields analytic values with
-no sampling at all.
+Every unit is a ``TableUnit``, a finite-state transducer given by its
+(next_state, output) tables; ``make_unit`` returns the built-in units as
+such tables, and ``simulate_unit`` runs one vectorised kernel for all.
+
+The oracle builds the Markov chain over composite (input symbol, unit
+state, last k outputs) states for any ``TableUnit``, held as sparse
+successor and probability arrays of size states x |U|.  Its stationary
+distribution projects onto the exact joint p(history, next output, next
+input) that the storage measures consume, which yields analytic values
+with no sampling at all.
 
 Pseudorandom generation uses numpy's Philox counter-based generator,
 seeded directly with the integer seed, so identical seeds give identical
@@ -13,16 +18,15 @@ series across runs and platforms.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .estimators import Distribution
 from .symseq import BINARY, Alphabet, SymbolSeries
 
-STATE_SPACE_LIMIT = 2**16
+STATE_SPACE_LIMIT = 2**20
 
 
 class ConvergenceError(RuntimeError):
@@ -99,73 +103,19 @@ class UnitSpec:
             raise ValueError("xor_memory initial state must be 0 or 1")
 
 
-class Unit:
-    """A finite-state transducer driven one input symbol at a time.
+class TableUnit:
+    """A finite-state transducer given by explicit tables.
 
-    Subclasses define the per-step update (state, input) -> (state, output).
-    Units whose internal state is recoverable from recent outputs also
-    implement state_from_history, which the oracle needs.
-    """
-
-    n_states: int
-    input_alphabet: Alphabet
-    output_alphabet: Alphabet
-    initial_state: int
-
-    def step(self, state: int, u: int) -> tuple[int, int]:
-        raise NotImplementedError
-
-    def state_from_history(self, history: tuple[int, ...]) -> int:
-        raise NotImplementedError(
-            f"{type(self).__name__} cannot recover its state from outputs; "
-            "exact oracle unavailable"
-        )
-
-
-class ForwardingUnit(Unit):
-    """Stateless unit: the output equals the current input."""
-
-    n_states = 1
-    input_alphabet = BINARY
-    output_alphabet = BINARY
-    initial_state = 0
-
-    def step(self, state: int, u: int) -> tuple[int, int]:
-        return 0, u
-
-    def state_from_history(self, history: tuple[int, ...]) -> int:
-        return 0
-
-
-class XorMemoryUnit(Unit):
-    """Unit that keeps its last output and emits input XOR that state."""
-
-    n_states = 2
-    input_alphabet = BINARY
-    output_alphabet = BINARY
-
-    def __init__(self, initial_state: int = 0):
-        if initial_state not in (0, 1):
-            raise ValueError("initial state must be 0 or 1")
-        self.initial_state = initial_state
-
-    def step(self, state: int, u: int) -> tuple[int, int]:
-        out = state ^ u
-        return out, out
-
-    def state_from_history(self, history: tuple[int, ...]) -> int:
-        return history[-1]
-
-
-class TableUnit(Unit):
-    """Arbitrary finite-state transducer given by explicit tables.
-
-    ``next_state`` and ``output`` are (n_states, n_inputs) integer arrays.
+    ``next_state[s, u]`` is the state the unit moves to when input u
+    arrives in state s, and ``output[s, u]`` the symbol it emits on that
+    step; both are (n_states, n_inputs) integer arrays.  The tables are
+    validated here and then read-only, since simulation and the oracle
+    index with their entries.
     """
 
     def __init__(self, next_state, output, n_outputs: int, initial_state: int = 0):
-        self.next_state = np.asarray(next_state, dtype=np.int64)
-        self.output = np.asarray(output, dtype=np.int64)
+        self.next_state = _table("next_state", next_state)
+        self.output = _table("output", output)
         if self.next_state.shape != self.output.shape:
             raise ValueError("next_state and output tables must share a shape")
         self.n_states = self.next_state.shape[0]
@@ -174,70 +124,128 @@ class TableUnit(Unit):
         if not (0 <= initial_state < self.n_states):
             raise ValueError("initial state out of range")
         self.initial_state = initial_state
+        for name, table, bound in (
+            ("next_state", self.next_state, self.n_states),
+            ("output", self.output, n_outputs),
+        ):
+            lo, hi = int(table.min()), int(table.max())
+            if lo < 0 or hi >= bound:
+                raise ValueError(
+                    f"{name} table entries must lie in [0, {bound}); "
+                    f"saw values in [{lo}, {hi}]"
+                )
 
-    def step(self, state: int, u: int) -> tuple[int, int]:
-        return int(self.next_state[state, u]), int(self.output[state, u])
+
+def _table(name: str, values) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.ndim != 2 or not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"{name} table must be a 2-D integer array")
+    arr = arr.astype(np.int64)
+    arr.setflags(write=False)
+    return arr
 
 
-def make_unit(spec: UnitSpec) -> Unit:
+def make_unit(spec: UnitSpec) -> TableUnit:
+    """The built-in units as tables.  Forwarding has one state and emits
+    its input; xor_memory emits input XOR its state and keeps that output
+    as its next state."""
     if spec.kind == "forwarding":
-        return ForwardingUnit()
-    return XorMemoryUnit(spec.initial_state)
+        return TableUnit(next_state=[[0, 0]], output=[[0, 1]], n_outputs=2)
+    xor = [[0, 1], [1, 0]]
+    return TableUnit(xor, xor, n_outputs=2, initial_state=spec.initial_state)
 
 
-def simulate_unit(unit: Unit | UnitSpec, input_series: SymbolSeries) -> SymbolSeries:
-    """Run the unit over the whole input series; output has equal length."""
-    if isinstance(unit, UnitSpec):
-        unit = make_unit(unit)
-    if input_series.alphabet.size != unit.input_alphabet.size:
+def _as_unit(unit: TableUnit | UnitSpec) -> TableUnit:
+    return make_unit(unit) if isinstance(unit, UnitSpec) else unit
+
+
+def simulate_unit(unit: TableUnit | UnitSpec, input_series: SymbolSeries) -> SymbolSeries:
+    """Run the unit over the whole input series; output has equal length.
+
+    The series is cut into blocks of about sqrt(N) steps, and each step
+    below runs across all blocks at once.  The first pass moves every
+    possible start state of every block through its block, which gives
+    each block's end-state map; chaining those maps from the initial
+    state gives each block's true start state; the second pass replays
+    every block from that state and records the outputs.
+    """
+    unit = _as_unit(unit)
+    n_inputs = unit.input_alphabet.size
+    if input_series.alphabet.size != n_inputs:
         raise ValueError(
-            f"unit expects inputs over {unit.input_alphabet.size} symbols, "
+            f"unit expects inputs over {n_inputs} symbols, "
             f"series uses {input_series.alphabet.size}"
         )
-    u = input_series.data
-    if isinstance(unit, ForwardingUnit):
-        return SymbolSeries(unit.output_alphabet, u.copy())
-    if isinstance(unit, XorMemoryUnit):
-        out = np.bitwise_xor.accumulate(u) ^ unit.initial_state
-        return SymbolSeries(unit.output_alphabet, out)
+    n = len(input_series)
+    width = math.isqrt(n)
+    n_blocks = -(-n // width)
+    # steps[t, b]: input at step t of block b (the last block is padded)
+    steps = np.zeros(n_blocks * width, dtype=np.int64)
+    steps[:n] = input_series.data
+    steps = np.ascontiguousarray(steps.reshape(n_blocks, width).T)
+    # flat table index of (state, input) is state * n_inputs + input
+    next_state = unit.next_state.ravel()
+    output = unit.output.ravel()
+
+    ends = np.tile(np.arange(unit.n_states), (n_blocks, 1))
+    for u in steps:
+        ends = next_state[ends * n_inputs + u[:, None]]
+    starts = np.empty(n_blocks, dtype=np.int64)
     state = unit.initial_state
-    out = np.empty(u.size, dtype=np.int64)
-    for i, ui in enumerate(u):
-        state, out[i] = unit.step(state, int(ui))
-    return SymbolSeries(unit.output_alphabet, out)
+    for b, end in enumerate(ends.tolist()):
+        starts[b] = state
+        state = end[state]
+
+    state = starts
+    for u in steps:  # each input is overwritten by the output it causes
+        cell = state * n_inputs + u
+        u[:] = output[cell]
+        state = next_state[cell]
+    return SymbolSeries(unit.output_alphabet, steps.T.ravel()[:n])
 
 
 @dataclass(frozen=True)
 class MarkovChainModel:
-    """Markov chain over composite (input symbol, last k outputs) states.
+    """Markov chain over composite (input, unit state, output history) states.
 
-    ``emit[s, u']`` is the unit output produced when input u' arrives in
-    state s; ``transition`` is the row-stochastic one-step matrix.
+    State (u, s, h) has index ``(u * S + s) * |X|**k + h``, where S is the
+    unit's number of states and h codes the last k outputs in base |X|,
+    the most recent output as the least significant digit.  Given the next
+    input u' the chain moves deterministically, so it is stored sparsely:
+    ``successor[i, u']`` is the state that state i moves to on input u',
+    and ``prob[i, u']`` = P(u' | u) is the probability of that move.  Both
+    are (states x |U|) arrays.  ``transition`` builds the dense
+    row-stochastic states x states matrix anew on each access; it is meant
+    for checks on small chains.
     """
 
     k: int
     input_alphabet: Alphabet
     output_alphabet: Alphabet
-    states: tuple[tuple[int, tuple[int, ...]], ...]
-    transition: np.ndarray
-    emit: np.ndarray
-    input_transition: np.ndarray
+    successor: np.ndarray
+    prob: np.ndarray
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return self.successor.shape[0]
+
+    @property
+    def transition(self) -> np.ndarray:
+        T = np.zeros((self.n_states, self.n_states))
+        np.add.at(T, (np.arange(self.n_states)[:, None], self.successor), self.prob)
+        return T
 
 
-def build_joint_chain(proc: ProcessSpec, unit: Unit | UnitSpec, k: int) -> MarkovChainModel:
+def build_joint_chain(proc: ProcessSpec, unit: TableUnit | UnitSpec, k: int) -> MarkovChainModel:
     """Compose the input process law with the unit's deterministic update."""
-    if isinstance(unit, UnitSpec):
-        unit = make_unit(unit)
+    unit = _as_unit(unit)
     if k < 1:
         raise ValueError("history length k must be >= 1")
     nu = unit.input_alphabet.size
     nx = unit.output_alphabet.size
+    ns = unit.n_states
     nh = nx**k
-    n_states = nu * nh
+    n_states = nu * ns * nh
     if n_states > STATE_SPACE_LIMIT:
         raise ValueError(
             f"composite state space of {n_states} states exceeds the "
@@ -247,61 +255,48 @@ def build_joint_chain(proc: ProcessSpec, unit: Unit | UnitSpec, k: int) -> Marko
     if pu.shape != (nu, nu):
         raise ValueError("input process alphabet does not match the unit")
 
-    histories = list(itertools.product(range(nx), repeat=k))
-    hcode = {h: i for i, h in enumerate(histories)}
-    states = tuple(
-        (u, h) for u in range(nu) for h in histories
-    )
-    T = np.zeros((n_states, n_states))
-    emit = np.zeros((n_states, nu), dtype=np.int64)
-    for si, (u, h) in enumerate(states):
-        s_unit = unit.state_from_history(h)
-        for u2 in range(nu):
-            _, x2 = unit.step(s_unit, u2)
-            emit[si, u2] = x2
-            h2 = h[1:] + (x2,)
-            sj = u2 * nh + hcode[h2]
-            T[si, sj] += pu[u, u2]
+    # [s, h, u'] -> (u' * S + next_state[s, u']) * nh + (h * nx + output[s, u']) % nh
+    head = (np.arange(nu) * ns + unit.next_state)[:, None, :] * nh
+    tail = (np.arange(nh)[:, None] * nx + unit.output[:, None, :]) % nh
+    shape = (nu, ns, nh, nu)
     return MarkovChainModel(
         k=k,
         input_alphabet=unit.input_alphabet,
         output_alphabet=unit.output_alphabet,
-        states=states,
-        transition=T,
-        emit=emit,
-        input_transition=pu,
+        successor=np.broadcast_to(head + tail, shape).reshape(n_states, nu),
+        prob=np.broadcast_to(pu[:, None, None, :], shape).reshape(n_states, nu),
     )
 
 
-def stationary_from_matrix(
-    T: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6
-) -> np.ndarray:
-    """Stationary row vector of a row-stochastic matrix by power iteration.
+def stationary_distribution(
+    model: MarkovChainModel, tol: float = 1e-12, max_iter: int = 10**6
+) -> Distribution:
+    """Stationary distribution over the model's composite states.
 
-    Iterates the lazy chain (I + T)/2 from the uniform start, which shares
-    T's stationary distributions and converges even for periodic chains
-    (equivalent to averaging successive iterates).
+    Power iteration on the lazy chain (I + T)/2, which shares T's
+    stationary distributions and converges even for periodic chains.  It
+    starts uniform on the states that some move reaches, which the chain
+    never leaves, so no mass lingers on states only an initial condition
+    can occupy (for xor, a unit state other than the last output).  Each
+    step is one bincount over the successor arrays: O(states * |U|).
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    n = T.shape[0]
-    v = np.full(n, 1.0 / n)
+    n = model.n_states
+    successor = model.successor.ravel()
+    v = np.bincount(successor, minlength=n) > 0
+    v = v / v.sum()
     residual = np.inf
-    for it in range(1, max_iter + 1):
-        vt = v @ T
+    for _ in range(max_iter):
+        vt = np.bincount(successor, weights=(v[:, None] * model.prob).ravel(), minlength=n)
         residual = float(np.abs(vt - v).sum())
         if residual < tol:
-            return v
+            break
         v = 0.5 * (v + vt)
-    raise ConvergenceError(residual, max_iter)
-
-
-def stationary_distribution(model: MarkovChainModel, tol: float = 1e-12) -> Distribution:
-    """Stationary distribution over the model's composite states."""
-    pi = stationary_from_matrix(model.transition, tol)
-    pi = np.clip(pi, 0.0, None)
-    pi = pi / pi.sum()
-    return Distribution((Alphabet(model.n_states),), pi)
+    else:
+        raise ConvergenceError(residual, max_iter)
+    pi = np.clip(v, 0.0, None)
+    return Distribution((Alphabet(n),), pi / pi.sum())
 
 
 def exact_joint(model: MarkovChainModel, tol: float = 1e-12) -> Distribution:
@@ -310,18 +305,18 @@ def exact_joint(model: MarkovChainModel, tol: float = 1e-12) -> Distribution:
     nu = model.input_alphabet.size
     nx = model.output_alphabet.size
     nh = nx**model.k
-    p = np.zeros((nh, nx, nu))
-    for si, (u, _h) in enumerate(model.states):
-        hc = si % nh
-        for u2 in range(nu):
-            p[hc, model.emit[si, u2], u2] += pi[si] * model.input_transition[u, u2]
+    # the next output is the last history digit of the successor state
+    history = np.arange(model.n_states)[:, None] % nh
+    cell = (history * nx + model.successor % nx) * nu + np.arange(nu)
+    p = np.bincount(cell.ravel(), weights=(pi[:, None] * model.prob).ravel(), minlength=nh * nx * nu)
     p /= p.sum()
     return Distribution(
-        (Alphabet(nh), model.output_alphabet, model.input_alphabet), p
+        (Alphabet(nh), model.output_alphabet, model.input_alphabet),
+        p.reshape(nh, nx, nu),
     )
 
 
-def oracle_joint(proc: ProcessSpec, unit: Unit | UnitSpec, k: int, tol: float = 1e-12) -> Distribution:
+def oracle_joint(proc: ProcessSpec, unit: TableUnit | UnitSpec, k: int, tol: float = 1e-12) -> Distribution:
     """Convenience: build the chain and return its exact joint."""
     return exact_joint(build_joint_chain(proc, unit, k), tol)
 

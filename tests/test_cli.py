@@ -279,6 +279,43 @@ class TestOracle:
         )
         assert code == 1
 
+    def test_k_over_state_limit_is_usage_error(self, capsys):
+        # 2 * 2 * 2**40 composite states: refused before anything is built
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "oracle", "--process", "bernoulli:p=0.5", "--unit", "xor",
+                "--measure", "ais", "-k", "40",
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        msg = json.loads(err)
+        assert msg["error"] == "usage"
+        assert "reduce k" in msg["message"]
+        assert peak < 2**20
+
+    def test_k_15_in_bounded_memory(self, capsys):
+        # 2 * 2 * 2**15 composite states held as sparse successor arrays
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "oracle", "--process", "markov:p_stay=0.7", "--unit", "xor",
+                "--measure", "all", "--k-range", "1:15",
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < 100 * 2**20
+        results = read_jsonl(out)
+        assert [r["k"] for r in results] == [k for k in range(1, 16) for _ in range(3)]
+        for r in results:
+            if r["measure"] == "icais":
+                assert r["average_bits"] == pytest.approx(1.0, abs=1e-9)
+
     def test_memory_error_is_numerical(self, capsys, monkeypatch):
         from infostorage import procsim
 

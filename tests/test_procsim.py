@@ -3,6 +3,7 @@ import pytest
 
 from infostorage import (
     BINARY,
+    Alphabet,
     ConvergenceError,
     EmbeddingConfig,
     ProcessSpec,
@@ -18,9 +19,42 @@ from infostorage import (
     plugin_distribution,
     simulate_unit,
     stationary_distribution,
-    stationary_from_matrix,
 )
-from infostorage.procsim import parse_process_spec, parse_unit_spec
+from infostorage.procsim import STATE_SPACE_LIMIT, parse_process_spec, parse_unit_spec
+
+
+def step_loop(unit, u):
+    """Reference outputs of a table unit, one Python step at a time."""
+    state, out = unit.initial_state, []
+    for ui in u:
+        out.append(int(unit.output[state, ui]))
+        state = int(unit.next_state[state, ui])
+    return out
+
+
+def random_table_unit(rng, n_states, n_inputs, n_outputs):
+    return TableUnit(
+        next_state=rng.integers(0, n_states, (n_states, n_inputs)),
+        output=rng.integers(0, n_outputs, (n_states, n_inputs)),
+        n_outputs=n_outputs,
+        initial_state=int(rng.integers(0, n_states)),
+    )
+
+
+def strongly_connected(unit):
+    reach = np.eye(unit.n_states, dtype=bool)
+    reach[np.arange(unit.n_states)[:, None], unit.next_state] = True
+    for _ in range(unit.n_states):
+        reach = reach | (reach.astype(int) @ reach.astype(int) > 0)
+    return bool(reach.all())
+
+
+def cells_within_binomial_bound(exact, table):
+    """Per cell of the plug-in joint: is it within 3 sigma of the exact
+    probability at the table's sample size?"""
+    emp = plugin_distribution(table).probs
+    sigma = np.sqrt(exact * (1 - exact) / table.total)
+    return np.abs(emp - exact) <= np.maximum(3 * sigma, 1e-12)
 
 
 class TestProcessSpec:
@@ -85,17 +119,31 @@ class TestSimulateUnit:
 
     def test_fast_path_matches_step_loop(self):
         u = generate_input(ProcessSpec("bernoulli", p=0.5, seed=4), 500)
-        fast = simulate_unit(UnitSpec("xor_memory"), u).data
-        unit = make_unit(UnitSpec("xor_memory"))
-        state, slow = unit.initial_state, []
-        for ui in u.data:
-            state, out = unit.step(state, int(ui))
-            slow.append(out)
-        assert fast.tolist() == slow
+        for init in (0, 1):
+            spec = UnitSpec("xor_memory", initial_state=init)
+            fast = simulate_unit(spec, u).data
+            assert fast.tolist() == step_loop(make_unit(spec), u.data)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17, 99, 1000, 1001])
+    def test_kernel_matches_step_loop_at_any_length(self, n):
+        # n = 1 is a single one-step block; non-square n leaves the last
+        # block partly padded
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            unit = random_table_unit(
+                rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            )
+            u = SymbolSeries(unit.input_alphabet, rng.integers(0, unit.input_alphabet.size, n))
+            assert simulate_unit(unit, u).data.tolist() == step_loop(unit, u.data)
+
+    def test_one_state_units(self):
+        u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=5), 1001)
+        assert np.array_equal(simulate_unit(UnitSpec("forwarding"), u).data, u.data)
+        relabel = TableUnit(next_state=[[0, 0, 0]], output=[[2, 0, 1]], n_outputs=3)
+        v = SymbolSeries(Alphabet(3), np.arange(30) % 3)
+        assert simulate_unit(relabel, v).data.tolist() == [2, 0, 1] * 10
 
     def test_non_binary_input_rejected(self):
-        from infostorage import Alphabet
-
         u = SymbolSeries(Alphabet(3), [0, 1, 2])
         with pytest.raises(ValueError, match="symbols"):
             simulate_unit(UnitSpec("xor_memory"), u)
@@ -107,6 +155,32 @@ class TestSimulateUnit:
         )
         u = SymbolSeries(BINARY, [1, 0, 1, 1])
         assert simulate_unit(unit, u).data.tolist() == [0, 1, 1, 0]
+
+
+class TestTableUnitValidation:
+    @pytest.mark.parametrize("table", ["next_state", "output"])
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_entry_out_of_range(self, table, bad):
+        tables = {"next_state": [[0, 1], [1, 0]], "output": [[0, 1], [1, 0]]}
+        tables[table][0][1] = bad
+        with pytest.raises(ValueError, match=table):
+            TableUnit(**tables, n_outputs=2)
+
+    @pytest.mark.parametrize("table", ["next_state", "output"])
+    def test_table_must_be_2d_integer(self, table):
+        for bad in ([0, 1], [[0.0, 1.0]]):
+            tables = {"next_state": [[0, 0]], "output": [[0, 1]], table: bad}
+            with pytest.raises(ValueError, match=table):
+                TableUnit(**tables, n_outputs=2)
+
+    def test_shapes_must_match(self):
+        with pytest.raises(ValueError, match="shape"):
+            TableUnit(next_state=[[0, 0]], output=[[0, 1, 1]], n_outputs=2)
+
+    def test_tables_are_read_only(self):
+        unit = make_unit(UnitSpec("xor_memory"))
+        with pytest.raises(ValueError):
+            unit.next_state[0, 0] = 1
 
 
 class TestJointChain:
@@ -122,42 +196,84 @@ class TestJointChain:
                     assert np.allclose(m.transition.sum(axis=1), 1.0, atol=1e-12)
 
     def test_state_count(self):
+        # |U| * |S| * |X|**k composite states
         m = build_joint_chain(ProcessSpec("bernoulli", p=0.5), UnitSpec("forwarding"), 1)
         assert m.n_states == 4
         m = build_joint_chain(ProcessSpec("bernoulli", p=0.5), UnitSpec("xor_memory"), 3)
-        assert m.n_states == 16
+        assert m.n_states == 32
+        unit = random_table_unit(np.random.default_rng(0), 3, 2, 3)
+        m = build_joint_chain(ProcessSpec("bernoulli", p=0.5), unit, 2)
+        assert m.n_states == 2 * 3 * 9
+        assert m.successor.shape == m.prob.shape == (m.n_states, 2)
 
     def test_forwarding_rows_match_direct_enumeration(self):
-        # from any state, input u' arrives with P(u'|u) and forces output u'
+        # from any state, input u' arrives with P(u'|u) and forces output u';
+        # forwarding has one unit state, so state (u, 0, h) has index u*2 + h
         m = build_joint_chain(ProcessSpec("bernoulli", p=0.3), UnitSpec("forwarding"), 1)
-        for si, (u, h) in enumerate(m.states):
+        for si in range(m.n_states):
             expected = np.zeros(4)
             for u2, pu2 in enumerate([0.7, 0.3]):
-                expected[u2 * 2 + u2] += pu2  # next state (u', (u',))
+                expected[u2 * 2 + u2] += pu2  # next state (u', 0, (u',))
             assert np.allclose(m.transition[si], expected, atol=1e-12)
+
+    def test_successors_follow_documented_layout(self):
+        # state (u, s, h) has index (u*S + s)*|X|**k + h, the newest output
+        # being h's least significant digit
+        rng = np.random.default_rng(1)
+        proc = ProcessSpec("markov_binary", p_stay=0.7)
+        for _ in range(5):
+            unit = random_table_unit(rng, 3, 2, 3)
+            k, n_s, n_x = 2, 3, 3
+            n_h = n_x**k
+            m = build_joint_chain(proc, unit, k)
+            for u in range(2):
+                for s in range(n_s):
+                    for h in range(n_h):
+                        i = (u * n_s + s) * n_h + h
+                        for u2 in range(2):
+                            s2 = unit.next_state[s, u2]
+                            h2 = (h * n_x + unit.output[s, u2]) % n_h
+                            assert m.successor[i, u2] == (u2 * n_s + s2) * n_h + h2
+                            assert m.prob[i, u2] == proc.transition_matrix()[u, u2]
+
+    def test_state_space_limit_says_reduce_k(self):
+        m = build_joint_chain(ProcessSpec("bernoulli", p=0.5), UnitSpec("xor_memory"), 18)
+        assert m.n_states == STATE_SPACE_LIMIT
+        with pytest.raises(ValueError, match="reduce k$"):
+            build_joint_chain(ProcessSpec("bernoulli", p=0.5), UnitSpec("xor_memory"), 19)
 
 
 class TestStationary:
     def test_period_two_flip_chain(self):
-        T = np.array([[0.0, 1.0], [1.0, 0.0]])
-        pi = stationary_from_matrix(T)
-        assert np.allclose(pi, [0.5, 0.5], atol=1e-9)
+        # a unit that emits its state and toggles it, under a constant
+        # input 1: the recurrent states (1, 0, (1,)) and (1, 1, (0,)),
+        # indices 5 and 6, alternate with period two
+        toggle = TableUnit(next_state=[[1, 1], [0, 0]], output=[[0, 0], [1, 1]], n_outputs=2)
+        m = build_joint_chain(ProcessSpec("bernoulli", p=1.0), toggle, 1)
+        pi = stationary_distribution(m).probs
+        expected = np.zeros(8)
+        expected[[5, 6]] = 0.5
+        assert np.allclose(pi, expected, atol=1e-9)
 
     def test_xor_markov_uniform(self):
         m = build_joint_chain(
             ProcessSpec("markov_binary", p_stay=0.7), UnitSpec("xor_memory"), 1
         )
-        pi = stationary_distribution(m).probs
-        assert np.allclose(pi, 0.25, atol=1e-9)
+        # index (u*2 + s)*2 + h: the unit state s is the last output h on
+        # the recurrent states, which are uniform; s != h is transient
+        pi = stationary_distribution(m).probs.reshape(2, 2, 2)
+        for s in range(2):
+            for h in range(2):
+                assert np.allclose(pi[:, s, h], 0.25 if s == h else 0.0, atol=1e-9)
 
     def test_forwarding_bernoulli_03_concentrates_on_matching(self):
+        # forwarding state (u, 0, (h,)) has index u*2 + h
         m = build_joint_chain(ProcessSpec("bernoulli", p=0.3), UnitSpec("forwarding"), 1)
         pi = stationary_distribution(m).probs
-        by_state = {m.states[i]: pi[i] for i in range(m.n_states)}
-        assert by_state[(0, (0,))] == pytest.approx(0.7, abs=1e-9)
-        assert by_state[(1, (1,))] == pytest.approx(0.3, abs=1e-9)
-        assert by_state[(0, (1,))] == pytest.approx(0.0, abs=1e-9)
-        assert by_state[(1, (0,))] == pytest.approx(0.0, abs=1e-9)
+        assert pi[0] == pytest.approx(0.7, abs=1e-9)  # (0, 0, (0,))
+        assert pi[3] == pytest.approx(0.3, abs=1e-9)  # (1, 0, (1,))
+        assert pi[1] == pytest.approx(0.0, abs=1e-9)  # (0, 0, (1,))
+        assert pi[2] == pytest.approx(0.0, abs=1e-9)  # (1, 0, (0,))
 
     def test_matches_linear_solve(self):
         # balance equations solved directly, for every chain in scope
@@ -177,14 +293,17 @@ class TestStationary:
                     assert np.abs(pi - ref).sum() < 1e-9
 
     def test_nonconvergence_reports_residual(self):
-        T = np.array([[0.9, 0.1], [0.2, 0.8]])
+        m = build_joint_chain(ProcessSpec("bernoulli", p=0.3), UnitSpec("forwarding"), 1)
         with pytest.raises(ConvergenceError) as err:
-            stationary_from_matrix(T, tol=1e-12, max_iter=3)
+            stationary_distribution(m, tol=1e-12, max_iter=3)
         assert err.value.residual > 0
+        assert err.value.iterations == 3
 
     def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            stationary_from_matrix(np.eye(2), tol=0.0)
+        m = build_joint_chain(ProcessSpec("bernoulli", p=0.5), UnitSpec("forwarding"), 1)
+        for tol in (0.0, -1e-12):
+            with pytest.raises(ValueError):
+                stationary_distribution(m, tol=tol)
 
 
 class TestExactJoint:
@@ -228,12 +347,33 @@ class TestSimulationOracleAgreement:
             spec = ProcessSpec(proc.kind, p=proc.p, p_stay=proc.p_stay, seed=seed)
             u = generate_input(spec, n)
             x = simulate_unit(unit, u)
-            t = count_joint(x, u, EmbeddingConfig(k))
-            emp = plugin_distribution(t).probs
-            sigma = np.sqrt(exact * (1 - exact) / t.total)
-            within = np.abs(emp - exact) <= np.maximum(3 * sigma, 1e-12)
+            within = cells_within_binomial_bound(exact, count_joint(x, u, EmbeddingConfig(k)))
             ok_cells += int(within.sum())
             total_cells += within.size
+        assert ok_cells / total_cells >= 0.95
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_random_table_units(self, k):
+        # hidden-state transducers: the unit state is generally not a
+        # function of the last k outputs, so only the (input, state,
+        # history) chain gives their exact joint
+        rng = np.random.default_rng(300 + k)
+        n = 10**6
+        ok_cells = total_cells = n_units = 0
+        while n_units < 6:
+            unit = random_table_unit(rng, int(rng.integers(2, 5)), 2, int(rng.integers(2, 4)))
+            if not strongly_connected(unit):
+                continue
+            proc = ProcessSpec("markov_binary", p_stay=0.7, seed=n_units)
+            if n_units % 2:
+                proc = ProcessSpec("bernoulli", p=0.5, seed=n_units)
+            exact = oracle_joint(proc, unit, k).probs
+            u = generate_input(proc, n)
+            x = simulate_unit(unit, u)
+            within = cells_within_binomial_bound(exact, count_joint(x, u, EmbeddingConfig(k)))
+            ok_cells += int(within.sum())
+            total_cells += within.size
+            n_units += 1
         assert ok_cells / total_cells >= 0.95
 
 
