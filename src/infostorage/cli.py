@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+
+_INT64 = np.iinfo(np.int64)
+_ROWS_PER_WRITE = 1 << 16
 
 
 class UsageError(Exception):
@@ -120,6 +125,49 @@ def _parse_k_range(text: str) -> list[int]:
 
 
 def _read_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
+    """Columns of an integer CSV file with one header row, by name.
+
+    The body goes through numpy's C parser.  A file it rejects, or reads
+    with no rows or at another width than the header's, is parsed again
+    by ``_read_csv_cells``, which accepts what ``int()`` accepts and names
+    the line of the first bad cell.
+    """
+    parsed = _read_csv_fast(path)
+    columns, arr = parsed if parsed is not None else _read_csv_cells(path)
+    return columns, {name: arr[:, i] for i, name in enumerate(columns)}
+
+
+def _read_csv_fast(path: str) -> tuple[list[str], np.ndarray] | None:
+    try:
+        if not _c_parser_agrees(path):
+            return None
+        with Path(path).open(newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+            header = next(csv.reader(fh))
+            # An empty body warns, and older numpy parses "1.0" as an
+            # integer with a DeprecationWarning: both go to the fallback.
+            warnings.simplefilter("error")
+            arr = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+    except (OSError, ValueError, StopIteration, csv.Error, Warning):
+        return None
+    if arr.shape[0] == 0 or arr.shape[1] != len(header):
+        return None
+    return [name.strip() for name in header], arr
+
+
+def _c_parser_agrees(path: str) -> bool:
+    """Whether numpy's integer parser reads the text after the first line
+    as ``int()`` does.  It does not where it skips \\x1c-\\x1f as spaces or
+    takes some non-ASCII letters for digits."""
+    raw = Path(path).read_bytes()
+    first_end = re.search(rb"[\r\n]", raw)
+    start = first_end.end() if first_end else len(raw)
+    if not (raw.isascii() or raw[start:].isascii()):
+        return False
+    return all(raw.find(c, start) < 0 for c in b"\x1c\x1d\x1e\x1f")
+
+
+def _read_csv_cells(path: str) -> tuple[list[str], np.ndarray]:
+    """The reference parser: one ``int()`` per cell, blank lines skipped."""
     try:
         with Path(path).open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -137,18 +185,23 @@ def _read_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
                 parsed = []
                 for name, cell in zip(columns, row):
                     try:
-                        parsed.append(int(cell))
+                        value = int(cell)
                     except ValueError:
                         raise DataError(
                             f"{path}:{lineno}: non-integer value {cell!r} in column {name!r}"
                         )
+                    if not _INT64.min <= value <= _INT64.max:
+                        raise DataError(
+                            f"{path}:{lineno}: value {cell!r} in column {name!r} "
+                            "does not fit a 64-bit integer"
+                        )
+                    parsed.append(value)
                 rows.append(parsed)
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
         raise DataError(f"cannot read {path}: {e}")
     if not rows:
         raise DataError(f"no data rows in {path}")
-    arr = np.asarray(rows, dtype=np.int64)
-    return columns, {name: arr[:, i] for i, name in enumerate(columns)}
+    return columns, np.asarray(rows, dtype=np.int64)
 
 
 def _series_from_columns(data: dict[str, np.ndarray], names: list[str]) -> list[SymbolSeries]:
@@ -170,12 +223,30 @@ def _result_dict(res: infodyn.MeasureResult, include_local: bool = False) -> dic
         "source": res.source,
     }
     if include_local and res.local is not None:
-        out["local"] = res.local.values.tolist()
+        out["local"] = res.local.values
         out["start_index"] = res.local.start_index
     return out
 
 
-def _emit(results: list[dict], fmt: str, include_local: bool, out=None):
+def _json_line(record: dict) -> str:
+    """``json.dumps(record)`` for a flat dict whose values may include a
+    float64 array, written as the list ``json.dumps`` would write."""
+    return "{" + ", ".join(
+        f"{json.dumps(key)}: {_json_value(value)}" for key, value in record.items()
+    ) + "}"
+
+
+def _json_value(value) -> str:
+    if not isinstance(value, np.ndarray):
+        return json.dumps(value)
+    # Local profiles take few distinct values: format each once, then
+    # gather.  Unique bit patterns keep -0.0 apart from 0.0.
+    bits, inverse = np.unique(value.view(np.int64), return_inverse=True)
+    text = np.array([json.dumps(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return "[" + ", ".join(text[inverse].tolist()) + "]"
+
+
+def _emit(results: list[dict], fmt: str, out=None):
     out = out or sys.stdout
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -184,10 +255,24 @@ def _emit(results: list[dict], fmt: str, include_local: bool, out=None):
             writer.writerow([r["measure"], r["k"], f"{r['average_bits']:.15g}", r["n_transitions"]])
     else:
         for r in results:
-            if not include_local:
-                r.pop("local", None)
-                r.pop("start_index", None)
-            out.write(json.dumps(r) + "\n")
+            out.write(_json_line(r) + "\n")
+
+
+def _write_csv_rows(fh, columns: list[np.ndarray], sizes: list[int]) -> None:
+    """Write the lines ``csv.writer`` writes for rows of small ints.
+
+    ``columns[j]`` holds symbols below ``sizes[j]``.  Each distinct row is
+    formatted once; rows are gathered by their mixed-radix code and joined
+    a block at a time, so memory beyond the codes stays bounded.
+    """
+    code = np.zeros(len(columns[0]), dtype=np.int64)
+    for col, size in zip(columns, sizes):
+        code = code * size + col
+    rows = np.array(
+        [",".join(map(str, row)) for row in np.ndindex(*sizes)], dtype=object
+    )
+    for start in range(0, len(code), _ROWS_PER_WRITE):
+        fh.write("\n".join(rows[code[start:start + _ROWS_PER_WRITE]].tolist()) + "\n")
 
 
 def cmd_generate(args) -> int:
@@ -199,14 +284,13 @@ def cmd_generate(args) -> int:
     out_path = Path(args.out)
     try:
         with out_path.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
             if unit_spec is not None:
                 x = procsim.simulate_unit(unit_spec, u)
-                writer.writerow(["input", "output"])
-                writer.writerows(zip(u.data.tolist(), x.data.tolist()))
+                fh.write("input,output\n")
+                _write_csv_rows(fh, [u.data, x.data], [u.alphabet.size, x.alphabet.size])
             else:
-                writer.writerow(["output"])
-                writer.writerows([v] for v in u.data.tolist())
+                fh.write("output\n")
+                _write_csv_rows(fh, [u.data], [u.alphabet.size])
         meta = {
             "schema": SCHEMA,
             "process": args.process,
@@ -222,8 +306,11 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _load_analysis_inputs(args):
-    columns, data = _read_csv(args.data)
+def _analysis_plan(args) -> tuple[list[str], list[str], list[str]]:
+    """Output columns, input columns and measures the arguments name.
+
+    Checked before the CSV is read, so a usage error costs no ingest.
+    """
     col_names = [c.strip() for c in args.cols.split(",") if c.strip()]
     if not col_names:
         raise UsageError("--cols must name at least one column")
@@ -236,6 +323,16 @@ def _load_analysis_inputs(args):
         raise UsageError(
             "--input-col must name one shared column or one per output column"
         )
+    measures = _measures(args.measure, bool(input_names))
+    if not measures:
+        raise UsageError("no computable measures: icais/interaction need --input-col")
+    if args.input_lag < 0:
+        raise UsageError("input_lag must be >= 0")
+    return col_names, input_names, measures
+
+
+def _load_series(path: str, col_names: list[str], input_names: list[str]):
+    columns, data = _read_csv(path)
     missing = [c for c in col_names + input_names if c not in data]
     if missing:
         raise DataError(f"missing column(s) {missing}; file has {columns}")
@@ -249,15 +346,11 @@ def _load_analysis_inputs(args):
 
 
 def cmd_analyze(args) -> int:
-    xs, us = _load_analysis_inputs(args)
-    measures = _measures(args.measure, us[0] is not None)
-    if not measures:
-        raise UsageError(
-            "no computable measures: icais/interaction need --input-col"
-        )
+    col_names, input_names, measures = _analysis_plan(args)
     if args.k < 1:
         raise UsageError("-k must be >= 1")
     cfg = EmbeddingConfig(args.k, args.input_lag)
+    xs, us = _load_series(args.data, col_names, input_names)
     try:
         # One evaluation per table serves every measure.
         per_table = [
@@ -273,16 +366,14 @@ def cmd_analyze(args) -> int:
             ]
     except ValueError as e:
         raise DataError(str(e))
-    _emit([_result_dict(r, args.local) for r in results], args.format or "json", args.local)
+    _emit([_result_dict(r, args.local) for r in results], args.format or "json")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    xs, us = _load_analysis_inputs(args)
-    measures = _measures(args.measure, us[0] is not None)
-    if not measures:
-        raise UsageError("no computable measures: icais/interaction need --input-col")
+    col_names, input_names, measures = _analysis_plan(args)
     ks = _parse_k_range(args.k_range)
+    xs, us = _load_series(args.data, col_names, input_names)
     try:
         per_col = [
             infodyn.sweep_k(x, u, ks, measures, input_lag=args.input_lag)
@@ -305,7 +396,7 @@ def cmd_sweep(args) -> int:
                 "source": "empirical",
             }
         )
-    _emit(results, args.format or "csv", include_local=False)
+    _emit(results, args.format or "csv")
     return EXIT_OK
 
 
@@ -323,7 +414,7 @@ def cmd_oracle(args) -> int:
         except ValueError as e:
             raise UsageError(str(e))
         results += [_result_dict(r) for r in infodyn.evaluate(measures, joint, k=k)]
-    _emit(results, args.format, include_local=False)
+    _emit(results, args.format)
     return EXIT_OK
 
 
@@ -356,6 +447,9 @@ def main(argv=None) -> int:
     except MemoryError:
         _emit_error("numerical", "out of memory; reduce k")
         return EXIT_NUMERICAL
+    except OverflowError as e:
+        _emit_error("data", f"value out of the 64-bit integer range: {e}")
+        return EXIT_DATA
     except ValueError as e:
         _emit_error("usage", str(e))
         return EXIT_USAGE

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import tracemalloc
 from pathlib import Path
@@ -5,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from infostorage.cli import main
+from infostorage import Alphabet, EmbeddingConfig, SymbolSeries, count_joint, infodyn, procsim
+from infostorage.cli import DataError, _json_value, _read_csv, _read_csv_cells, _read_csv_fast, main
 
 
 def run(capsys, *argv):
@@ -68,6 +71,23 @@ class TestGenerate:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize("unit", [None, "xor", "forwarding"])
+    def test_file_matches_csv_writer(self, tmp_path, capsys, unit):
+        # more rows than one write block, and not a multiple of it
+        n = 70_001
+        p = gen_file(tmp_path, capsys, "markov:p_stay=0.7", unit, n, seed=9)
+        u = procsim.generate_input(procsim.parse_process_spec("markov:p_stay=0.7", seed=9), n)
+        ref = io.StringIO()
+        writer = csv.writer(ref, lineterminator="\n")
+        if unit is None:
+            writer.writerow(["output"])
+            writer.writerows([v] for v in u.data.tolist())
+        else:
+            x = procsim.simulate_unit(procsim.parse_unit_spec(unit), u)
+            writer.writerow(["input", "output"])
+            writer.writerows(zip(u.data.tolist(), x.data.tolist()))
+        assert p.read_bytes() == ref.getvalue().encode()
 
 
 class TestAnalyze:
@@ -208,6 +228,177 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--data", str(p), "-k", "3")
         assert code == 2
         assert "reduce k" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("input_col", [None, "drive"])
+    def test_local_json_matches_library(self, tmp_path, capsys, k, input_col):
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 8, 30_000)
+        u = rng.integers(0, 4, 30_000)
+        p = tmp_path / "sym.csv"
+        p.write_text("drive,output\n" + "".join(f"{a},{b}\n" for a, b in zip(u, x)))
+        argv = ["analyze", "--data", str(p), "-k", str(k), "--local"]
+        if input_col:
+            argv += ["--input-col", input_col]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        table = count_joint(
+            SymbolSeries(Alphabet(8), x),
+            SymbolSeries(Alphabet(4), u) if input_col else None,
+            EmbeddingConfig(k),
+        )
+        measures = list(infodyn.MEASURES) if input_col else ["ais"]
+        expected = "".join(
+            json.dumps({
+                "schema": "icais/1",
+                "measure": r.measure,
+                "k": r.k,
+                "average_bits": r.average_bits,
+                "n_transitions": r.n_transitions,
+                "source": r.source,
+                "local": r.local.values.tolist(),
+                "start_index": r.local.start_index,
+            }) + "\n"
+            for r in infodyn.evaluate(measures, table, local=True)
+        )
+        assert out == expected
+        if k == 3:
+            (ais,) = infodyn.evaluate(["ais"], table, local=True)
+            assert len(np.unique(ais.local.values)) > 1000
+
+    def test_json_value_matches_json_dumps(self):
+        values = np.array([0.0, -0.0, 1 / 3, -2.5e-300, np.nan, np.inf, -np.inf, 1 / 3, 0.0])
+        assert _json_value(values) == json.dumps(values.tolist())
+        assert _json_value(np.array([], dtype=np.float64)) == "[]"
+
+    def test_symbol_beyond_int64_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "huge.csv"
+        p.write_text("output\n0\n99999999999999999999999\n1\n")
+        code, out, err = run(capsys, "analyze", "--data", str(p), "-k", "1")
+        assert code == 2
+        assert out == ""
+        msg = json.loads(err)
+        assert msg["error"] == "data"
+        assert f"{p}:3:" in msg["message"] and "64-bit" in msg["message"]
+
+    def test_overflow_error_is_data_error(self, tmp_path, capsys, monkeypatch):
+        from infostorage import cli
+
+        def overflow(path):
+            raise OverflowError("Python int too large to convert to C long")
+
+        monkeypatch.setattr(cli, "_read_csv", overflow)
+        code, _, err = run(capsys, "analyze", "--data", str(tmp_path / "x.csv"), "-k", "1")
+        assert code == 2
+        assert json.loads(err)["error"] == "data"
+
+    def test_field_over_csv_limit_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "long.csv"
+        p.write_text("output\n0\n" + "1" * 200_000 + "\n")
+        code, _, err = run(capsys, "analyze", "--data", str(p), "-k", "1")
+        assert code == 2
+        assert json.loads(err)["error"] == "data"
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "-k", "0"],
+        ["analyze", "-k", "1", "--measure", "icais"],
+        ["analyze", "-k", "1", "--cols", ","],
+        ["analyze", "-k", "1", "--cols", "a,b,c", "--input-col", "u,v"],
+        ["sweep", "--k-range", "4:1"],
+        ["sweep", "--k-range", "1:2", "--measure", "interaction"],
+        ["analyze", "-k", "1", "--input-lag", "-1"],
+        ["sweep", "--k-range", "1:2", "--input-lag", "-1"],
+    ])
+    def test_usage_checked_before_ingest(self, tmp_path, capsys, argv):
+        # the file does not exist: reading it first would be a data error
+        code, _, err = run(capsys, *argv, "--data", str(tmp_path / "absent.csv"))
+        assert code == 1
+        assert json.loads(err)["error"] == "usage"
+
+
+def _read_outcome(path):
+    try:
+        columns, data = _read_csv(path)
+    except DataError as e:
+        return str(e)
+    return columns, np.column_stack([data[c] for c in columns]).tolist()
+
+
+def _cells_outcome(path):
+    try:
+        columns, arr = _read_csv_cells(path)
+    except DataError as e:
+        return str(e)
+    return columns, arr.tolist()
+
+
+# (file text, what the per-cell parser makes of it, whether numpy's parser takes it)
+INGEST_CASES = [
+    ("output\n1\n0\n", (["output"], [[1], [0]]), True),
+    ('output\n"1"\n"0"\n', (["output"], [[1], [0]]), False),
+    ("output\n 1\n0 \n", (["output"], [[1], [0]]), True),
+    ("output\n+1\n0\n", (["output"], [[1], [0]]), True),
+    ("output\n1_0\n0\n", (["output"], [[10], [0]]), False),
+    ("output\n1\n\n0\n\n", (["output"], [[1], [0]]), True),
+    ("input, output\r\n0,1\r\n1,0\r\n", (["input", "output"], [[0, 1], [1, 0]]), True),
+    ("input,output\n0,1\n1,0", (["input", "output"], [[0, 1], [1, 0]]), True),
+    ("a\n-9223372036854775808\n9223372036854775807\n",
+     (["a"], [[-(2**63)], [2**63 - 1]]), True),
+    ("", "empty file: {path}", False),
+    ("output\n", "no data rows in {path}", False),
+    ("output\n\n\n", "no data rows in {path}", False),
+    ("a\n1,2\n3,4\n", "{path}:2: expected 1 fields", False),
+    ("a,b\n1,2\n3\n", "{path}:3: expected 2 fields", False),
+    ("output\n0\n1\n\nx\n", "{path}:5: non-integer value 'x' in column 'output'", False),
+    ("output\n0\n1.0\n", "{path}:3: non-integer value '1.0' in column 'output'", False),
+    ("output\n0\n \n", "{path}:3: non-integer value ' ' in column 'output'", False),
+    # numpy skips \x1c as a space and reads U+01FE as a digit; int() does neither
+    ("output\n0\n\x1c1\n", "{path}:3: non-integer value '\\x1c1' in column 'output'", False),
+    ("output\n0\n\u01fe\n", "{path}:3: non-integer value '\u01fe' in column 'output'", False),
+    ("output\n0\n9223372036854775808\n",
+     "{path}:3: value '9223372036854775808' in column 'output' does not fit a 64-bit integer",
+     False),
+]
+
+
+class TestIngest:
+    @pytest.mark.parametrize("text, expected, fast", INGEST_CASES)
+    def test_fast_path_matches_cell_parser(self, tmp_path, capfd, text, expected, fast):
+        p = tmp_path / "in.csv"
+        p.write_bytes(text.encode())
+        assert (_read_csv_fast(str(p)) is not None) == fast
+        got = _read_outcome(str(p))
+        assert got == _cells_outcome(str(p))
+        assert got == (expected.format(path=p) if isinstance(expected, str) else expected)
+        assert capfd.readouterr() == ("", "")
+
+    def test_fast_path_matches_cell_parser_on_random_text(self, tmp_path, capfd):
+        rng = np.random.default_rng(2024)
+        noise = [
+            "", "", "", " ", "\t", '"', "+", "-", "_", ".", "e", "#", ",", "\x0b", "\x1c",
+            "\x00", "\x85", "\u00a0", "\u01fe", "\u0661", "\u2028", "99999999999999999999",
+        ]
+        ends = ["\n", "\n", "\r\n", "\r"]
+        p = tmp_path / "fuzz.csv"
+        fast = 0
+        for _ in range(600):
+            width = int(rng.integers(1, 4))
+            text = " , ".join("abc"[:width]) + rng.choice(ends)
+            for _ in range(rng.integers(0, 6)):
+                n_cells = width if rng.random() < 0.9 else int(rng.integers(0, 5))
+                cells = [
+                    rng.choice(noise) + str(rng.integers(-3, 300)) + rng.choice(noise)
+                    if rng.random() < 0.15 else str(rng.integers(0, 300))
+                    for _ in range(n_cells)
+                ]
+                text += ",".join(cells) + rng.choice(ends)
+            if rng.random() < 0.3:
+                text = text.rstrip("\r\n")
+            p.write_bytes(text.encode())
+            fast += _read_csv_fast(str(p)) is not None
+            assert _read_outcome(str(p)) == _cells_outcome(str(p)), repr(text)
+        assert 100 < fast < 500
+        assert capfd.readouterr() == ("", "")
 
 
 class TestSweep:
