@@ -28,7 +28,6 @@ from .infodyn import (
     MEASURES,
     ais,
     compute,
-    ensemble_average,
     evaluate,
     icais,
     interaction,
@@ -75,7 +74,6 @@ __all__ = [
     "conditional_entropy",
     "conditional_mutual_information",
     "count_joint",
-    "ensemble_average",
     "entropy",
     "evaluate",
     "exact_joint",

@@ -213,7 +213,7 @@ def _series_from_columns(data: dict[str, np.ndarray], names: list[str]) -> list[
     return [SymbolSeries(alphabet, data[c]) for c in names]
 
 
-def _result_dict(res: infodyn.MeasureResult, include_local: bool = False) -> dict:
+def _result_dict(res: infodyn.MeasureResult) -> dict:
     out = {
         "schema": SCHEMA,
         "measure": res.measure,
@@ -222,7 +222,7 @@ def _result_dict(res: infodyn.MeasureResult, include_local: bool = False) -> dic
         "n_transitions": res.n_transitions,
         "source": res.source,
     }
-    if include_local and res.local is not None:
+    if res.local is not None:
         out["local"] = res.local.values
         out["start_index"] = res.local.start_index
     return out
@@ -337,12 +337,10 @@ def _load_series(path: str, col_names: list[str], input_names: list[str]):
     if missing:
         raise DataError(f"missing column(s) {missing}; file has {columns}")
     xs = _series_from_columns(data, col_names)
-    if input_names:
-        shared = _series_from_columns(data, input_names)
-        us = shared * len(col_names) if len(input_names) == 1 else shared
-    else:
-        us = [None] * len(col_names)
-    return xs, us
+    if not input_names:
+        return xs, None
+    us = _series_from_columns(data, input_names)
+    return xs, us * len(col_names) if len(input_names) == 1 else us
 
 
 def cmd_analyze(args) -> int:
@@ -352,21 +350,10 @@ def cmd_analyze(args) -> int:
     cfg = EmbeddingConfig(args.k, args.input_lag)
     xs, us = _load_series(args.data, col_names, input_names)
     try:
-        # One evaluation per table serves every measure.
-        per_table = [
-            infodyn.evaluate(measures, count_joint(x, u, cfg), local=args.local or len(xs) > 1)
-            for x, u in zip(xs, us)
-        ]
-        if len(per_table) == 1:
-            results = per_table[0]
-        else:
-            results = [
-                infodyn.ensemble_average([col[i].local for col in per_table])
-                for i in range(len(measures))
-            ]
+        results = infodyn.evaluate(measures, count_joint(xs, us, cfg), local=args.local)
     except ValueError as e:
         raise DataError(str(e))
-    _emit([_result_dict(r, args.local) for r in results], args.format or "json")
+    _emit([_result_dict(r) for r in results], args.format or "json")
     return EXIT_OK
 
 
@@ -375,28 +362,10 @@ def cmd_sweep(args) -> int:
     ks = _parse_k_range(args.k_range)
     xs, us = _load_series(args.data, col_names, input_names)
     try:
-        per_col = [
-            infodyn.sweep_k(x, u, ks, measures, input_lag=args.input_lag)
-            for x, u in zip(xs, us)
-        ]
+        results = infodyn.sweep_k(xs, us, ks, measures, input_lag=args.input_lag)
     except ValueError as e:
         raise DataError(str(e))
-    results = []
-    # Equal-length columns: the ensemble average is the mean over columns.
-    for i in range(len(per_col[0])):
-        group = [col[i] for col in per_col]
-        first = group[0]
-        results.append(
-            {
-                "schema": SCHEMA,
-                "measure": first.measure,
-                "k": first.k,
-                "average_bits": float(np.mean([g.average_bits for g in group])),
-                "n_transitions": int(sum(g.n_transitions for g in group)),
-                "source": "empirical",
-            }
-        )
-    _emit(results, args.format or "csv")
+    _emit([_result_dict(r) for r in results], args.format or "csv")
     return EXIT_OK
 
 

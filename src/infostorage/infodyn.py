@@ -2,7 +2,8 @@
 interaction information, in local (per time step) and average form.
 
 Every measure of a dataset is evaluated against one shared distribution per
-(series, k), so the identity
+k, counted from one series or pooled over an ensemble of realisations (see
+``count_joint``), so the identity
 
     local icAIS = local AIS + local interaction
 
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .estimators import Distribution
-from .symseq import EmbeddingConfig, JointCountTable, SymbolSeries, count_joint, decode_history
+from .symseq import EmbeddingConfig, JointCountTable, SymbolSeries, _count_joint, decode_history
 
 MEASURES = ("ais", "icais", "interaction")
 
@@ -244,40 +245,20 @@ def local_interaction(table: JointCountTable, dist: Distribution | None = None) 
     return local_profile("interaction", table, dist)
 
 
-def ensemble_average(profiles: Sequence[LocalProfile]) -> MeasureResult:
-    """Average over a set of homogeneous processes and all time steps."""
-    if not profiles:
-        raise ValueError("need at least one profile")
-    first = profiles[0]
-    for p in profiles[1:]:
-        if p.measure != first.measure:
-            raise ValueError("profiles mix different measures")
-        if p.k != first.k:
-            raise ValueError("profiles mix different history lengths")
-        if len(p) != len(first):
-            raise ValueError("profiles have different lengths")
-    stacked = np.stack([p.values for p in profiles])
-    return MeasureResult(
-        measure=first.measure,
-        k=first.k,
-        average_bits=float(stacked.mean()),
-        n_transitions=int(stacked.size),
-        source="empirical",
-    )
-
-
 def sweep_k(
-    x: SymbolSeries,
-    u: SymbolSeries | None,
+    x: SymbolSeries | Sequence[SymbolSeries],
+    u: SymbolSeries | Sequence[SymbolSeries] | None,
     k_range: Iterable[int],
     measures: Iterable[str],
     *,
     input_lag: int = 0,
 ) -> list[MeasureResult]:
-    """Evaluate measures for several history lengths on one series.
+    """Evaluate measures for several history lengths on one series or on
+    the pooled table of several realisations (see ``count_joint``).
 
-    All k share the alignment of the largest: the first max(k) samples are
-    excluded from `next` positions for every k, so values are comparable.
+    All k share the alignment of the largest: the first max(k) samples of
+    each realisation are excluded from `next` positions for every k, so
+    values are comparable.
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
@@ -289,8 +270,5 @@ def sweep_k(
     kmax = ks[-1]
     results = []
     for k in ks:
-        off = kmax - k
-        xs = SymbolSeries(x.alphabet, x.data[off:])
-        us = SymbolSeries(u.alphabet, u.data[off:]) if u is not None else None
-        results += evaluate(measures, count_joint(xs, us, EmbeddingConfig(k, input_lag)))
+        results += evaluate(measures, _count_joint(x, u, EmbeddingConfig(k, input_lag), kmax))
     return results

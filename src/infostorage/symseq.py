@@ -146,7 +146,10 @@ class JointCountTable:
     was seen, and ``transitions[t]`` the index into ``cells`` of the
     transition whose `next` symbol sits at series index
     ``start_index + t``, so local measures stay aligned to the series.
-    Memory is O(N + observed cells), whatever the alphabet sizes.
+    A table pooled over several realisations lists their transitions one
+    realisation after another, each realisation's from its own index
+    ``start_index`` on.  Memory is O(N + observed cells), whatever the
+    alphabet sizes.
     """
 
     k: int
@@ -180,43 +183,86 @@ class JointCountTable:
 
 
 def count_joint(
-    x: SymbolSeries,
-    u: SymbolSeries | None = None,
+    x: SymbolSeries | Sequence[SymbolSeries],
+    u: SymbolSeries | Sequence[SymbolSeries] | None = None,
     cfg: EmbeddingConfig = EmbeddingConfig(1),
 ) -> JointCountTable:
     """Count (history, next, input) cells over all embedded transitions.
 
+    ``x`` is one series or a sequence of realisations of the same process;
+    ``u`` is then None, one series or a matching sequence of input series.
+    Realisations share one x alphabet and one u alphabet, may differ in
+    length, and are pooled into one table: ``transitions`` lists each
+    realisation's steps in turn, all from the same ``start_index``.
+
     When a lag L > 1 would reach before the start of the input series, the
-    first L-1 transitions are dropped, so the total is always
-    N - k - max(0, L-1).
+    first L-1 transitions are dropped, so each realisation of length N
+    contributes N - k - max(0, L-1) transitions.
     """
-    n = len(x)
-    if u is not None and len(u) != n:
-        raise ValueError(
-            f"input length {len(u)} does not match series length {n}"
-        )
+    return _count_joint(x, u, cfg, cfg.k)
+
+
+def _count_joint(x, u, cfg: EmbeddingConfig, k_align: int) -> JointCountTable:
+    """``count_joint`` with the first `next` position that history length
+    ``k_align`` >= ``cfg.k`` would have, so tables for several k count the
+    same transitions."""
+    xs = [x] if isinstance(x, SymbolSeries) else list(x)
+    us = [None] * len(xs) if u is None else [u] if isinstance(u, SymbolSeries) else list(u)
+    if not xs:
+        raise ValueError("need at least one realisation")
+    if len(us) != len(xs):
+        raise ValueError(f"got {len(us)} input series for {len(xs)} realisations")
+    alphabet_x = xs[0].alphabet
+    alphabet_u = us[0].alphabet if u is not None else None
+    if any(xi.alphabet != alphabet_x for xi in xs):
+        raise ValueError("realisations must share one x alphabet")
+    for xi, ui in zip(xs, us):
+        if ui is None:
+            continue
+        if len(ui) != len(xi):
+            raise ValueError(
+                f"input length {len(ui)} does not match series length {len(xi)}"
+            )
+        if ui.alphabet != alphabet_u:
+            raise ValueError("realisations must share one u alphabet")
     # Lag only matters when inputs are present.
-    start = _check_length(n, cfg if u is not None else EmbeddingConfig(cfg.k))
+    cfg = cfg if u is not None else EmbeddingConfig(cfg.k)
+    start = _check_length(min(len(xi) for xi in xs), EmbeddingConfig(k_align, cfg.input_lag))
     k = cfg.k
-    nx = x.alphabet.size
-    nu = u.alphabet.size if u is not None else 1
+    nx = alphabet_x.size
+    nu = alphabet_u.size if alphabet_u is not None else 1
     if nx ** (k + 1) * nu >= _CODE_LIMIT:
         raise ValueError(
             f"cell space |X|^k * |X| * |U| = {nx}^{k} * {nx} * {nu} does not "
             "fit a 64-bit code; reduce k"
         )
-    # A length-(k+1) window codes (history, next) as h * |X| + x.
-    flat = history_codes(x.data, k + 1, nx)[start - k :]
-    if u is not None:
-        flat *= nu
-        flat += u.data[start - cfg.input_lag : n - cfg.input_lag]
-    cells, transitions, counts = np.unique(flat, return_inverse=True, return_counts=True)
+    flat = _flat_codes(xs, us, cfg, start)
+    # Searching the sorted cells gives np.unique's inverse without its
+    # argsort and gathers, which hold about six N-sized arrays at once.
+    cells = np.unique(flat)
+    transitions = np.searchsorted(cells, flat)
+    counts = np.bincount(transitions, minlength=cells.size)
     return JointCountTable(
         k=k,
-        alphabet_x=x.alphabet,
-        alphabet_u=u.alphabet if u is not None else None,
+        alphabet_x=alphabet_x,
+        alphabet_u=alphabet_u,
         cells=cells,
         counts=counts,
         transitions=transitions,
         start_index=start,
     )
+
+
+def _flat_codes(xs, us, cfg: EmbeddingConfig, start: int) -> np.ndarray:
+    """Flat cell codes of each realisation's transitions in turn, each
+    realisation's from the `next` symbol at index ``start`` on."""
+    parts = []
+    for x, u in zip(xs, us):
+        # A length-(k+1) window codes (history, next) as h * |X| + x.
+        flat = history_codes(x.data, cfg.k + 1, x.alphabet.size)[start - cfg.k :]
+        if u is not None:
+            flat *= u.alphabet.size
+            flat += u.data[start - cfg.input_lag : len(u) - cfg.input_lag]
+        parts.append(flat)
+    # One series is counted in place; only an ensemble is joined.
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)

@@ -184,6 +184,47 @@ class TestAnalyze:
         assert res["n_transitions"] == 2 * (20_000 - 1)
         assert abs(res["average_bits"] - 1.0) < 0.01
 
+    def test_ensemble_local_is_pooled_profile(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        u = rng.integers(0, 2, (2, 40))
+        x = np.stack([u[0], rng.integers(0, 3, 40)])
+        p = tmp_path / "ens.csv"
+        p.write_text("u,v,a,b\n" + "".join(f"{r[0]},{r[1]},{r[2]},{r[3]}\n" for r in np.vstack([u, x]).T))
+        code, out, err = run(
+            capsys, "analyze", "--data", str(p), "-k", "2", "--cols", "a,b",
+            "--input-col", "u,v", "--local",
+        )
+        assert code == 0, err
+        table = count_joint(
+            [SymbolSeries(Alphabet(3), row) for row in x],
+            [SymbolSeries(Alphabet(2), row) for row in u],
+            EmbeddingConfig(2),
+        )
+        results = infodyn.evaluate(infodyn.MEASURES, table, local=True)
+        recs = read_jsonl(out)
+        assert [r["measure"] for r in recs] == list(infodyn.MEASURES)
+        for rec, res in zip(recs, results):
+            # column a's 38 local values, then column b's
+            assert rec["start_index"] == 2
+            assert len(rec["local"]) == rec["n_transitions"] == 2 * (40 - 2)
+            assert rec["local"] == res.local.values.tolist()
+            assert rec["average_bits"] == res.average_bits
+            assert np.mean(rec["local"]) == pytest.approx(rec["average_bits"], abs=1e-12)
+
+    @pytest.mark.parametrize("input_col", ["drive", "u,v,w"])
+    def test_sweep_and_analyze_share_one_rule(self, tmp_path, capsys, input_col):
+        rng = np.random.default_rng(9)
+        cells = rng.integers(0, 3, (500, 7))
+        p = tmp_path / "ens.csv"
+        p.write_text("drive,u,v,w,a,b,c\n" + "".join(",".join(map(str, r)) + "\n" for r in cells))
+        common = ["--data", str(p), "--cols", "a,b,c", "--input-col", input_col]
+        code, swept, err = run(capsys, "sweep", *common, "--k-range", "2:2", "--format", "json")
+        assert code == 0, err
+        code, analyzed, err = run(capsys, "analyze", *common, "-k", "2")
+        assert code == 0, err
+        assert swept == analyzed
+        assert [r["n_transitions"] for r in read_jsonl(swept)] == [3 * (500 - 2)] * 3
+
     def test_roundtrip_bit_identical(self, tmp_path, capsys):
         outs = []
         for name in ("r1.csv", "r2.csv"):

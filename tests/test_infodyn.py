@@ -15,7 +15,7 @@ from infostorage import (
     compute,
     conditional_mutual_information,
     count_joint,
-    ensemble_average,
+    evaluate,
     generate_input,
     icais,
     interaction,
@@ -64,10 +64,18 @@ class TestLocalAis:
         assert np.allclose(prof.values[repeat], np.log2(1.4), atol=1e-12)
         assert np.allclose(prof.values[~repeat], np.log2(0.6), atol=1e-12)
 
-    def test_mean_matches_average(self):
-        t = empirical_table(U2, FWD, 100_000)
-        prof = local_ais(t)
-        assert prof.mean == pytest.approx(ais(t).average_bits, abs=1e-10)
+    def test_mean_matches_average(self, rng):
+        # and on a table pooled over realisations of unequal lengths
+        lengths = (40, 300, 17)
+        pooled = count_joint(
+            [random_series(rng, n, 3) for n in lengths],
+            [random_series(rng, n, 2) for n in lengths],
+            EmbeddingConfig(2),
+        )
+        for t in (empirical_table(U2, FWD, 100_000), pooled):
+            prof = local_ais(t)
+            assert len(prof) == t.total
+            assert prof.mean == pytest.approx(ais(t).average_bits, abs=1e-10)
 
     def test_zero_probability_transition_reported(self):
         # evaluate data against a distribution that forbids one of its cells
@@ -159,43 +167,54 @@ class TestInteraction:
 
 
 class TestEnsembleAverage:
-    def test_identical_profiles(self):
-        t = empirical_table(U1, XOR, 5000)
-        p = local_icais(t)
-        res = ensemble_average([p, p])
-        assert res.average_bits == pytest.approx(p.mean, abs=1e-12)
-
-    def test_mean_of_means(self):
-        from infostorage import LocalProfile
-
-        p0 = LocalProfile("ais", 1, np.zeros(10), 1)
-        p1 = LocalProfile("ais", 1, np.ones(10), 1)
-        assert ensemble_average([p0, p1]).average_bits == pytest.approx(0.5)
-
-    def test_rejects_heterogeneous(self):
-        from infostorage import LocalProfile
-
-        p0 = LocalProfile("ais", 1, np.zeros(10), 1)
-        p1 = LocalProfile("icais", 1, np.zeros(10), 1)
-        with pytest.raises(ValueError):
-            ensemble_average([p0, p1])
-        p2 = LocalProfile("ais", 2, np.zeros(10), 2)
-        with pytest.raises(ValueError):
-            ensemble_average([p0, p2])
-        p3 = LocalProfile("ais", 1, np.zeros(9), 1)
-        with pytest.raises(ValueError):
-            ensemble_average([p0, p3])
+    """An ensemble is one table pooled over its realisations."""
 
     def test_shared_drive_ensemble_converges(self):
         # independent xor units driven by one i.i.d. input
         u = generate_input(U1, 100_000)
-        profiles = []
-        for init in (0, 1) * 5:
-            x = simulate_unit(UnitSpec("xor_memory", initial_state=init), u)
-            t = count_joint(x, u, EmbeddingConfig(1))
-            profiles.append(local_icais(t))
-        res = ensemble_average(profiles)
+        xs = [simulate_unit(UnitSpec("xor_memory", initial_state=init), u) for init in (0, 1) * 5]
+        res = icais(count_joint(xs, [u] * len(xs), EmbeddingConfig(1)))
+        assert res.n_transitions == 10 * (100_000 - 1)
         assert abs(res.average_bits - 1.0) < 0.01
+
+    def test_pooled_estimate_approaches_oracle(self):
+        # R short forwarding runs under markov(0.7): with 294 transitions
+        # per run and 2^8 cells at k = 6, each run's own plug-in estimate
+        # is biased upwards, and the mean of those never converges.
+        k, rows = 6, 300
+        cfg = EmbeddingConfig(k)
+        exact = {r.measure: r.average_bits for r in evaluate(MEASURES, oracle_joint(U2, FWD, k), k=k)}
+        pooled_gap, mean_gap = [], []
+        for n_runs in (4, 64, 1024):
+            us = [
+                generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=100 + r), rows)
+                for r in range(n_runs)
+            ]
+            xs = [simulate_unit(FWD, u) for u in us]
+            pooled = evaluate(MEASURES, count_joint(xs, us, cfg))
+            assert all(r.n_transitions == n_runs * (rows - k) for r in pooled)
+            per_run = [evaluate(MEASURES, count_joint(x, u, cfg)) for x, u in zip(xs, us)]
+            pooled_gap.append(max(abs(r.average_bits - exact[r.measure]) for r in pooled))
+            mean_gap.append(max(
+                abs(np.mean([run[i].average_bits for run in per_run]) - exact[m])
+                for i, m in enumerate(MEASURES)
+            ))
+        assert pooled_gap[0] > pooled_gap[1] > pooled_gap[2]
+        assert pooled_gap[2] < 0.005
+        assert min(mean_gap) > 0.1
+
+    def test_repeated_realisation_is_bit_identical(self, rng):
+        for _ in range(20):
+            nx, nu = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            cfg = EmbeddingConfig(int(rng.integers(1, 4)), int(rng.integers(0, 3)))
+            x, u = random_series(rng, 300, nx), random_series(rng, 300, nu)
+            one = evaluate(MEASURES, count_joint(x, u, cfg), local=True)
+            two = evaluate(MEASURES, count_joint([x, x], [u, u], cfg), local=True)
+            for a, b in zip(one, two):
+                assert a.average_bits == b.average_bits
+                assert b.n_transitions == 2 * a.n_transitions
+                assert b.local.start_index == a.local.start_index
+                assert np.array_equal(b.local.values, np.tile(a.local.values, 2))
 
 
 class TestSweepK:
@@ -205,6 +224,20 @@ class TestSweepK:
         results = sweep_k(x, u, range(1, 4), ["ais"])
         # all k share the start index of the largest k
         assert all(r.n_transitions == 5000 - 3 for r in results)
+
+    def test_realisations_share_the_alignment(self, rng):
+        # each realisation drops its first max(k) samples, as trimming it would
+        lengths = (50, 80)
+        xs = [random_series(rng, n, 2) for n in lengths]
+        us = [random_series(rng, n, 3) for n in lengths]
+        results = sweep_k(xs, us, [1, 3], MEASURES, input_lag=2)
+        assert len(results) == 6
+        for r in results:
+            off = 3 - r.k
+            trimmed = [[SymbolSeries(s.alphabet, s.data[off:]) for s in group] for group in (xs, us)]
+            want = compute(r.measure, count_joint(*trimmed, EmbeddingConfig(r.k, 2)))
+            assert r.n_transitions == want.n_transitions == sum(n - 4 for n in lengths)
+            assert r.average_bits == want.average_bits
 
     def test_oracle_constant_across_k(self):
         for k in range(1, 5):
@@ -262,9 +295,17 @@ class TestAgainstEntropyReference:
             nx, nu = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             cfg = EmbeddingConfig(int(rng.integers(1, 4)), int(rng.integers(0, 3)))
             t = count_joint(random_series(rng, n, nx), random_series(rng, n, nu), cfg)
-            want = entropy_reference(plugin_distribution(t))
-            for m in MEASURES:
-                assert abs(compute(m, t).average_bits - want[m]) < 1e-12
+            # and an ensemble of realisations of unequal lengths
+            lengths = rng.integers(10, 300, int(rng.integers(2, 5)))
+            pooled = count_joint(
+                [random_series(rng, m, nx) for m in lengths],
+                [random_series(rng, m, nu) for m in lengths],
+                cfg,
+            )
+            for table in (t, pooled):
+                want = entropy_reference(plugin_distribution(table))
+                for m in MEASURES:
+                    assert abs(compute(m, table).average_bits - want[m]) < 1e-12
 
     def test_oracle_distributions(self):
         for k in range(1, 7):

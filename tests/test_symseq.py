@@ -122,3 +122,47 @@ class TestCountJoint:
         x = SymbolSeries(Alphabet(2**20), np.arange(10))
         with pytest.raises(ValueError, match="reduce k"):
             count_joint(x, None, EmbeddingConfig(3))
+
+
+class TestCountJointEnsemble:
+    def test_pools_realisations_of_unequal_length(self, rng):
+        for _ in range(50):
+            nx, nu = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            cfg = EmbeddingConfig(int(rng.integers(1, 4)), int(rng.integers(0, 3)))
+            with_u = bool(rng.integers(0, 2))
+            lengths = rng.integers(5, 60, int(rng.integers(1, 5)))
+            xs = [random_series(rng, n, nx) for n in lengths]
+            us = [random_series(rng, n, nu) for n in lengths] if with_u else None
+            t = count_joint(xs, us, cfg)
+            want = {}
+            for x, u in zip(xs, us or [None] * len(xs)):
+                for key, n in naive_count(x, u, cfg).items():
+                    want[key] = want.get(key, 0) + n
+            assert table_to_dict(t) == want
+            # each realisation's steps in turn, all from start_index
+            start = cfg.k + (max(0, cfg.input_lag - 1) if with_u else 0)
+            assert t.start_index == start
+            assert step_cells(t)[1].tolist() == [v for x in xs for v in x.data[start:].tolist()]
+
+    def test_rejects_mixed_alphabets(self, rng):
+        a, b = random_series(rng, 20, 2), random_series(rng, 20, 3)
+        with pytest.raises(ValueError, match="x alphabet"):
+            count_joint([a, b], None, EmbeddingConfig(1))
+        with pytest.raises(ValueError, match="u alphabet"):
+            count_joint([a, a], [a, b], EmbeddingConfig(1))
+
+    def test_rejects_mismatched_inputs(self, rng):
+        a, b = random_series(rng, 20, 2), random_series(rng, 21, 2)
+        with pytest.raises(ValueError, match="2 input series for 3"):
+            count_joint([a, a, a], [a, a], EmbeddingConfig(1))
+        with pytest.raises(ValueError, match="match"):
+            count_joint([a, b], [a, a], EmbeddingConfig(1))
+        with pytest.raises(ValueError, match="1 input series for 2"):
+            count_joint([a, a], a, EmbeddingConfig(1))
+        with pytest.raises(ValueError, match="at least one"):
+            count_joint([], None, EmbeddingConfig(1))
+
+    def test_shortest_realisation_sets_the_length_check(self, rng):
+        long, short = random_series(rng, 20, 2), random_series(rng, 3, 2)
+        with pytest.raises(ValueError, match="length 3 too short"):
+            count_joint([long, short], None, EmbeddingConfig(3))
