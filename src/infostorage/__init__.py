@@ -16,7 +16,6 @@ from .symseq import (
 )
 from .estimators import (
     Distribution,
-    conditional_entropy,
     conditional_mutual_information,
     entropy,
     mutual_information,
@@ -71,7 +70,6 @@ __all__ = [
     "ais",
     "build_joint_chain",
     "compute",
-    "conditional_entropy",
     "conditional_mutual_information",
     "count_joint",
     "entropy",

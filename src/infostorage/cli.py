@@ -124,6 +124,49 @@ def _parse_k_range(text: str) -> list[int]:
     return list(range(lo_i, hi_i + 1))
 
 
+def _parse_process_spec(text: str, seed: int = 0) -> procsim.ProcessSpec:
+    """Parse 'bernoulli:p=0.5' or 'markov:p_stay=0.7'."""
+    kind, _, rest = text.partition(":")
+    params = _parse_params(rest, text)
+    if kind == "bernoulli":
+        if set(params) != {"p"}:
+            raise ValueError(f"bernoulli spec needs exactly p=<float>: {text!r}")
+        return procsim.ProcessSpec("bernoulli", p=float(params["p"]), seed=seed)
+    if kind == "markov":
+        if set(params) != {"p_stay"}:
+            raise ValueError(f"markov spec needs exactly p_stay=<float>: {text!r}")
+        return procsim.ProcessSpec("markov_binary", p_stay=float(params["p_stay"]), seed=seed)
+    raise ValueError(f"unknown process spec {text!r}")
+
+
+def _parse_unit_spec(text: str) -> procsim.UnitSpec:
+    """Parse 'forwarding' or 'xor[:init=<0|1>]'."""
+    kind, _, rest = text.partition(":")
+    params = _parse_params(rest, text)
+    if kind == "forwarding":
+        if params:
+            raise ValueError(f"forwarding takes no parameters: {text!r}")
+        return procsim.UnitSpec("forwarding")
+    if kind == "xor":
+        extra = set(params) - {"init"}
+        if extra:
+            raise ValueError(f"unknown xor parameters {sorted(extra)}: {text!r}")
+        return procsim.UnitSpec("xor_memory", initial_state=int(params.get("init", 0)))
+    raise ValueError(f"unknown unit spec {text!r}")
+
+
+def _parse_params(rest: str, original: str) -> dict[str, str]:
+    if not rest:
+        return {}
+    params = {}
+    for item in rest.split(","):
+        key, sep, value = item.partition("=")
+        if not sep or not key or not value:
+            raise ValueError(f"malformed spec parameter {item!r} in {original!r}")
+        params[key] = value
+    return params
+
+
 def _read_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
     """Columns of an integer CSV file with one header row, by name.
 
@@ -228,22 +271,27 @@ def _result_dict(res: infodyn.MeasureResult) -> dict:
     return out
 
 
-def _json_line(record: dict) -> str:
-    """``json.dumps(record)`` for a flat dict whose values may include a
-    float64 array, written as the list ``json.dumps`` would write."""
-    return "{" + ", ".join(
-        f"{json.dumps(key)}: {_json_value(value)}" for key, value in record.items()
-    ) + "}"
-
-
-def _json_value(value) -> str:
-    if not isinstance(value, np.ndarray):
-        return json.dumps(value)
-    # Local profiles take few distinct values: format each once, then
-    # gather.  Unique bit patterns keep -0.0 apart from 0.0.
-    bits, inverse = np.unique(value.view(np.int64), return_inverse=True)
-    text = np.array([json.dumps(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return "[" + ", ".join(text[inverse].tolist()) + "]"
+def _write_json_line(out, record: dict) -> None:
+    """Write ``json.dumps(record) + "\\n"`` for a flat dict whose values
+    may include a float64 array, written as the list ``json.dumps`` would
+    write, one piece at a time."""
+    out.write("{")
+    for i, (key, value) in enumerate(record.items()):
+        out.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+        if not isinstance(value, np.ndarray):
+            out.write(json.dumps(value))
+            continue
+        # Local profiles take few distinct values: format each once, then
+        # gather and join a block at a time.  Unique bit patterns keep -0.0
+        # apart from 0.0.
+        bits, inverse = np.unique(value.view(np.int64), return_inverse=True)
+        text = np.array([json.dumps(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        out.write("[")
+        for start in range(0, inverse.size, _ROWS_PER_WRITE):
+            out.write(", " if start else "")
+            out.write(", ".join(text[inverse[start:start + _ROWS_PER_WRITE]].tolist()))
+        out.write("]")
+    out.write("}\n")
 
 
 def _emit(results: list[dict], fmt: str, out=None):
@@ -255,7 +303,7 @@ def _emit(results: list[dict], fmt: str, out=None):
             writer.writerow([r["measure"], r["k"], f"{r['average_bits']:.15g}", r["n_transitions"]])
     else:
         for r in results:
-            out.write(_json_line(r) + "\n")
+            _write_json_line(out, r)
 
 
 def _write_csv_rows(fh, columns: list[np.ndarray], sizes: list[int]) -> None:
@@ -278,9 +326,9 @@ def _write_csv_rows(fh, columns: list[np.ndarray], sizes: list[int]) -> None:
 def cmd_generate(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
-    proc = procsim.parse_process_spec(args.process, seed=args.seed)
+    proc = _parse_process_spec(args.process, seed=args.seed)
     u = procsim.generate_input(proc, args.n)
-    unit_spec = procsim.parse_unit_spec(args.unit) if args.unit else None
+    unit_spec = _parse_unit_spec(args.unit) if args.unit else None
     out_path = Path(args.out)
     try:
         with out_path.open("w", newline="") as fh:
@@ -324,8 +372,6 @@ def _analysis_plan(args) -> tuple[list[str], list[str], list[str]]:
             "--input-col must name one shared column or one per output column"
         )
     measures = _measures(args.measure, bool(input_names))
-    if not measures:
-        raise UsageError("no computable measures: icais/interaction need --input-col")
     if args.input_lag < 0:
         raise UsageError("input_lag must be >= 0")
     return col_names, input_names, measures
@@ -370,9 +416,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    proc = procsim.parse_process_spec(args.process)
-    unit = procsim.parse_unit_spec(args.unit)
-    measures = list(infodyn.MEASURES) if args.measure == "all" else [args.measure]
+    proc = _parse_process_spec(args.process)
+    unit = _parse_unit_spec(args.unit)
+    measures = _measures(args.measure, True)
     ks = [args.k] if args.k is not None else _parse_k_range(args.k_range)
     if args.k is not None and args.k < 1:
         raise UsageError("-k must be >= 1")

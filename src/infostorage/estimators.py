@@ -7,13 +7,12 @@ All quantities are in bits (log base 2), with the continuity convention
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .symseq import Alphabet, JointCountTable
 
-_LN2 = float(np.log(2.0))
 _SUM_TOL = 1e-12
 
 
@@ -44,17 +43,6 @@ class Distribution:
     @property
     def n_axes(self) -> int:
         return len(self.axes)
-
-    def marginal(self, axes: Sequence[int]) -> np.ndarray:
-        """Marginal table over the given axes, in the given order."""
-        keep = tuple(axes)
-        drop = tuple(i for i in range(self.n_axes) if i not in keep)
-        marg = self.probs.sum(axis=drop) if drop else self.probs
-        # probs.sum keeps remaining axes in their original order
-        order = tuple(sorted(keep))
-        if keep != order:
-            marg = np.moveaxis(marg, [order.index(a) for a in keep], range(len(keep)))
-        return marg
 
 
 def plugin_distribution(table: JointCountTable) -> Distribution:
@@ -92,48 +80,20 @@ def _check_disjoint(d: Distribution, **groups: tuple[int, ...]):
 
 
 def _joint_entropy(d: Distribution, axes: tuple[int, ...]) -> float:
-    p = d.marginal(axes).ravel()
+    # Entropy does not depend on the order of the kept axes.
+    dropped = tuple(i for i in range(d.n_axes) if i not in axes)
+    p = d.probs.sum(axis=dropped).ravel()
     p = p[p > 0]
     return float(-(p * np.log2(p)).sum())
 
 
-def entropy(
-    d: Distribution,
-    axes: Iterable[int],
-    *,
-    miller_madow_samples: int | None = None,
-) -> float:
-    """Shannon entropy H of the marginal over ``axes``, in bits.
-
-    With ``miller_madow_samples`` set to the sample count behind a plug-in
-    distribution, adds the Miller-Madow bias correction (m-1)/(2N ln 2),
-    m being the number of occupied cells.
-    """
+def entropy(d: Distribution, axes: Iterable[int]) -> float:
+    """Shannon entropy H of the marginal over ``axes``, in bits."""
     axes = _axes_tuple(axes)
     if not axes:
         raise ValueError("entropy requires at least one axis")
     _check_disjoint(d, axes=axes)
-    h = _joint_entropy(d, axes)
-    if miller_madow_samples is not None:
-        if miller_madow_samples < 1:
-            raise ValueError("sample count must be >= 1")
-        m = int(np.count_nonzero(d.marginal(axes)))
-        h += (m - 1) / (2.0 * miller_madow_samples * _LN2)
-    return h
-
-
-def conditional_entropy(
-    d: Distribution, target: Iterable[int], given: Iterable[int]
-) -> float:
-    """H(target | given) in bits; conditioning on nothing gives H(target)."""
-    target = _axes_tuple(target)
-    given = _axes_tuple(given)
-    if not target:
-        raise ValueError("conditional entropy requires a nonempty target")
-    _check_disjoint(d, target=target, given=given)
-    if not given:
-        return _joint_entropy(d, target)
-    return _joint_entropy(d, target + given) - _joint_entropy(d, given)
+    return _joint_entropy(d, axes)
 
 
 def mutual_information(d: Distribution, a: Iterable[int], b: Iterable[int]) -> float:

@@ -319,46 +319,3 @@ def exact_joint(model: MarkovChainModel, tol: float = 1e-12) -> Distribution:
 def oracle_joint(proc: ProcessSpec, unit: TableUnit | UnitSpec, k: int, tol: float = 1e-12) -> Distribution:
     """Convenience: build the chain and return its exact joint."""
     return exact_joint(build_joint_chain(proc, unit, k), tol)
-
-
-def parse_process_spec(text: str, seed: int = 0) -> ProcessSpec:
-    """Parse 'bernoulli:p=0.5' or 'markov:p_stay=0.7'."""
-    kind, _, rest = text.partition(":")
-    params = _parse_params(rest, text)
-    if kind == "bernoulli":
-        if set(params) != {"p"}:
-            raise ValueError(f"bernoulli spec needs exactly p=<float>: {text!r}")
-        return ProcessSpec("bernoulli", p=float(params["p"]), seed=seed)
-    if kind == "markov":
-        if set(params) != {"p_stay"}:
-            raise ValueError(f"markov spec needs exactly p_stay=<float>: {text!r}")
-        return ProcessSpec("markov_binary", p_stay=float(params["p_stay"]), seed=seed)
-    raise ValueError(f"unknown process spec {text!r}")
-
-
-def parse_unit_spec(text: str) -> UnitSpec:
-    """Parse 'forwarding' or 'xor[:init=<0|1>]'."""
-    kind, _, rest = text.partition(":")
-    params = _parse_params(rest, text)
-    if kind == "forwarding":
-        if params:
-            raise ValueError(f"forwarding takes no parameters: {text!r}")
-        return UnitSpec("forwarding")
-    if kind == "xor":
-        extra = set(params) - {"init"}
-        if extra:
-            raise ValueError(f"unknown xor parameters {sorted(extra)}: {text!r}")
-        return UnitSpec("xor_memory", initial_state=int(params.get("init", 0)))
-    raise ValueError(f"unknown unit spec {text!r}")
-
-
-def _parse_params(rest: str, original: str) -> dict[str, str]:
-    if not rest:
-        return {}
-    params = {}
-    for item in rest.split(","):
-        key, sep, value = item.partition("=")
-        if not sep or not key or not value:
-            raise ValueError(f"malformed spec parameter {item!r} in {original!r}")
-        params[key] = value
-    return params

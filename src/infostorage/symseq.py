@@ -18,23 +18,13 @@ _CODE_LIMIT = 2**63
 
 @dataclass(frozen=True)
 class Alphabet:
-    """A finite symbol domain {0, ..., size-1} with optional display labels."""
+    """A finite symbol domain {0, ..., size-1}."""
 
     size: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("alphabet size must be >= 1")
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
-            if len(labels) != self.size:
-                raise ValueError(
-                    f"got {len(labels)} labels for alphabet of size {self.size}"
-                )
-            if len(set(labels)) != len(labels):
-                raise ValueError("alphabet labels must be distinct")
-            object.__setattr__(self, "labels", labels)
 
 
 BINARY = Alphabet(2)
@@ -48,7 +38,7 @@ class SymbolSeries:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.int64)
+        arr = np.array(self.data, dtype=np.int64, ndmin=1)
         if arr.ndim != 1:
             raise ValueError("series data must be one-dimensional")
         if arr.size < 1:
@@ -59,27 +49,11 @@ class SymbolSeries:
                 f"symbol out of range: saw values in [{lo}, {hi}] for "
                 f"alphabet of size {self.alphabet.size}"
             )
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
     def __len__(self) -> int:
         return int(self.data.size)
-
-    @classmethod
-    def from_values(cls, values: Sequence, alphabet: Alphabet | None = None):
-        """Ingest arbitrary hashable labels, mapping them to dense codes.
-
-        Labels are assigned codes in sorted order and recorded on the
-        alphabet, so output can be mapped back.  If ``alphabet`` is given,
-        the values must already be in-range integer codes.
-        """
-        if alphabet is not None:
-            return cls(alphabet, np.asarray(values, dtype=np.int64))
-        distinct = sorted(set(values), key=str)
-        code = {label: i for i, label in enumerate(distinct)}
-        data = np.fromiter((code[v] for v in values), dtype=np.int64, count=len(values))
-        return cls(Alphabet(len(distinct), tuple(str(v) for v in distinct)), data)
 
 
 @dataclass(frozen=True)

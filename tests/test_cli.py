@@ -8,7 +8,17 @@ import numpy as np
 import pytest
 
 from infostorage import Alphabet, EmbeddingConfig, SymbolSeries, count_joint, infodyn, procsim
-from infostorage.cli import DataError, _json_value, _read_csv, _read_csv_cells, _read_csv_fast, main
+from infostorage.cli import (
+    _ROWS_PER_WRITE,
+    DataError,
+    _parse_process_spec,
+    _parse_unit_spec,
+    _read_csv,
+    _read_csv_cells,
+    _read_csv_fast,
+    _write_json_line,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -77,17 +87,39 @@ class TestGenerate:
         # more rows than one write block, and not a multiple of it
         n = 70_001
         p = gen_file(tmp_path, capsys, "markov:p_stay=0.7", unit, n, seed=9)
-        u = procsim.generate_input(procsim.parse_process_spec("markov:p_stay=0.7", seed=9), n)
+        u = procsim.generate_input(_parse_process_spec("markov:p_stay=0.7", seed=9), n)
         ref = io.StringIO()
         writer = csv.writer(ref, lineterminator="\n")
         if unit is None:
             writer.writerow(["output"])
             writer.writerows([v] for v in u.data.tolist())
         else:
-            x = procsim.simulate_unit(procsim.parse_unit_spec(unit), u)
+            x = procsim.simulate_unit(_parse_unit_spec(unit), u)
             writer.writerow(["input", "output"])
             writer.writerows(zip(u.data.tolist(), x.data.tolist()))
         assert p.read_bytes() == ref.getvalue().encode()
+
+
+class TestSpecParsing:
+    def test_process_specs(self):
+        p = _parse_process_spec("bernoulli:p=0.5", seed=7)
+        assert p.kind == "bernoulli" and p.p == 0.5 and p.seed == 7
+        m = _parse_process_spec("markov:p_stay=0.7")
+        assert m.kind == "markov_binary" and m.p_stay == 0.7
+
+    def test_unit_specs(self):
+        assert _parse_unit_spec("forwarding").kind == "forwarding"
+        x = _parse_unit_spec("xor:init=1")
+        assert x.kind == "xor_memory" and x.initial_state == 1
+        assert _parse_unit_spec("xor").initial_state == 0
+
+    def test_malformed_specs(self):
+        for bad in ("bernoulli", "bernoulli:q=1", "markov:p=0.5", "gauss:p=1", "bernoulli:p"):
+            with pytest.raises(ValueError):
+                _parse_process_spec(bad)
+        for bad in ("xor:init", "forwarding:x=1", "nand"):
+            with pytest.raises(ValueError):
+                _parse_unit_spec(bad)
 
 
 class TestAnalyze:
@@ -309,8 +341,13 @@ class TestAnalyze:
 
     def test_json_value_matches_json_dumps(self):
         values = np.array([0.0, -0.0, 1 / 3, -2.5e-300, np.nan, np.inf, -np.inf, 1 / 3, 0.0])
-        assert _json_value(values) == json.dumps(values.tolist())
-        assert _json_value(np.array([], dtype=np.float64)) == "[]"
+        # more values than one write block, and not a multiple of it
+        long = np.resize(values, 2 * _ROWS_PER_WRITE + 5)
+        for array in (values, long, np.array([], dtype=np.float64)):
+            record = {"measure": "ais", "local": array, "start_index": 1}
+            out = io.StringIO()
+            _write_json_line(out, record)
+            assert out.getvalue() == json.dumps({**record, "local": array.tolist()}) + "\n"
 
     def test_symbol_beyond_int64_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "huge.csv"

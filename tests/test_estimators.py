@@ -8,7 +8,6 @@ from infostorage import (
     EmbeddingConfig,
     ProcessSpec,
     UnitSpec,
-    conditional_entropy,
     conditional_mutual_information,
     count_joint,
     entropy,
@@ -92,31 +91,13 @@ class TestEntropy:
             h = entropy(d, [0, 1])
             assert -1e-12 <= h <= np.log2(6) + 1e-12
 
-    def test_miller_madow_correction(self):
-        d = dist([[0.25, 0.25], [0.25, 0.25]])
-        plain = entropy(d, [0, 1])
-        corrected = entropy(d, [0, 1], miller_madow_samples=100)
-        assert corrected == pytest.approx(plain + 3 / (200 * np.log(2)))
-
 
 class TestConditionalEntropy:
-    def test_independent_uniform(self):
-        d = dist(np.full((2, 2), 0.25))
-        assert conditional_entropy(d, [0], [1]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_identical_variables(self):
-        d = dist([[0.5, 0.0], [0.0, 0.5]])
-        assert conditional_entropy(d, [0], [1]) == pytest.approx(0.0, abs=1e-12)
-
     def test_markov_chain_step(self):
-        # stationary pair distribution of the repeat-with-0.7 chain
+        # stationary pair distribution of the repeat-with-0.7 chain:
+        # H(next | previous) = H(previous, next) - H(previous)
         d = dist([[0.35, 0.15], [0.15, 0.35]])
-        assert conditional_entropy(d, [1], [0]) == pytest.approx(H_BERN_07, abs=1e-12)
-
-    def test_overlap_rejected(self):
-        d = dist(np.full((2, 2), 0.25))
-        with pytest.raises(ValueError):
-            conditional_entropy(d, [0], [0])
+        assert entropy(d, [0, 1]) - entropy(d, [0]) == pytest.approx(H_BERN_07, abs=1e-12)
 
 
 class TestMutualInformation:
@@ -196,7 +177,7 @@ class TestConditionalMutualInformation:
 
 class TestChainRule:
     def test_chain_rule_random_distributions(self, rng):
-        # H(A,B) = H(A) + H(B|A) across random shapes up to 4 variables
+        # H(A,B) = H(A) + H(B) - I(A;B) across random shapes up to 4 variables
         shapes = [(2, 2), (3, 2), (2, 3, 2), (3, 3, 2), (2, 2, 2, 3)]
         for _ in range(200):
             for shape in shapes:
@@ -205,7 +186,7 @@ class TestChainRule:
                 a = axes[: len(shape) // 2] or [0]
                 b = [ax for ax in axes if ax not in a]
                 lhs = entropy(d, a + b)
-                rhs = entropy(d, a) + conditional_entropy(d, b, a)
+                rhs = entropy(d, a) + entropy(d, b) - mutual_information(d, a, b)
                 assert lhs == pytest.approx(rhs, abs=1e-10)
 
 

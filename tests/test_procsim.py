@@ -20,7 +20,7 @@ from infostorage import (
     simulate_unit,
     stationary_distribution,
 )
-from infostorage.procsim import STATE_SPACE_LIMIT, parse_process_spec, parse_unit_spec
+from infostorage.procsim import STATE_SPACE_LIMIT
 
 
 def step_loop(unit, u):
@@ -375,25 +375,3 @@ class TestSimulationOracleAgreement:
             total_cells += within.size
             n_units += 1
         assert ok_cells / total_cells >= 0.95
-
-
-class TestSpecParsing:
-    def test_process_specs(self):
-        p = parse_process_spec("bernoulli:p=0.5", seed=7)
-        assert p.kind == "bernoulli" and p.p == 0.5 and p.seed == 7
-        m = parse_process_spec("markov:p_stay=0.7")
-        assert m.kind == "markov_binary" and m.p_stay == 0.7
-
-    def test_unit_specs(self):
-        assert parse_unit_spec("forwarding").kind == "forwarding"
-        x = parse_unit_spec("xor:init=1")
-        assert x.kind == "xor_memory" and x.initial_state == 1
-        assert parse_unit_spec("xor").initial_state == 0
-
-    def test_malformed_specs(self):
-        for bad in ("bernoulli", "bernoulli:q=1", "markov:p=0.5", "gauss:p=1", "bernoulli:p"):
-            with pytest.raises(ValueError):
-                parse_process_spec(bad)
-        for bad in ("xor:init", "forwarding:x=1", "nand"):
-            with pytest.raises(ValueError):
-                parse_unit_spec(bad)

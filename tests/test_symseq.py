@@ -22,14 +22,6 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet(0)
 
-    def test_labels_must_match_size(self):
-        with pytest.raises(ValueError):
-            Alphabet(2, ("a",))
-
-    def test_labels_must_be_distinct(self):
-        with pytest.raises(ValueError):
-            Alphabet(2, ("a", "a"))
-
 
 class TestSymbolSeries:
     def test_rejects_out_of_range_symbols(self):
@@ -46,11 +38,6 @@ class TestSymbolSeries:
         s = bseries([0, 1])
         with pytest.raises(ValueError):
             s.data[0] = 1
-
-    def test_from_values_records_mapping(self):
-        s = SymbolSeries.from_values(["lo", "hi", "hi", "lo"])
-        assert s.alphabet.labels == ("hi", "lo")
-        assert s.data.tolist() == [1, 0, 0, 1]
 
 
 class TestHistoryCodes:
