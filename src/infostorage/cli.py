@@ -294,16 +294,15 @@ def _write_json_line(out, record: dict) -> None:
     out.write("}\n")
 
 
-def _emit(results: list[dict], fmt: str, out=None):
-    out = out or sys.stdout
+def _emit(results: list[dict], fmt: str):
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["measure", "k", "average_bits", "n_transitions"])
         for r in results:
             writer.writerow([r["measure"], r["k"], f"{r['average_bits']:.15g}", r["n_transitions"]])
     else:
         for r in results:
-            _write_json_line(out, r)
+            _write_json_line(sys.stdout, r)
 
 
 def _write_csv_rows(fh, columns: list[np.ndarray], sizes: list[int]) -> None:
@@ -424,10 +423,7 @@ def cmd_oracle(args) -> int:
         raise UsageError("-k must be >= 1")
     results = []
     for k in ks:
-        try:
-            joint = procsim.oracle_joint(proc, unit, k)
-        except ValueError as e:
-            raise UsageError(str(e))
+        joint = procsim.oracle_joint(proc, unit, k)
         results += [_result_dict(r) for r in infodyn.evaluate(measures, joint, k=k)]
     _emit(results, args.format)
     return EXIT_OK

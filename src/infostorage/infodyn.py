@@ -14,13 +14,13 @@ Markov-chain oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .estimators import Distribution
-from .symseq import EmbeddingConfig, JointCountTable, SymbolSeries, _count_joint, decode_history
+from .symseq import EmbeddingConfig, JointCountTable, SymbolSeries, count_joint, decode_history
 
 MEASURES = ("ais", "icais", "interaction")
 
@@ -245,6 +245,16 @@ def local_interaction(table: JointCountTable, dist: Distribution | None = None) 
     return local_profile("interaction", table, dist)
 
 
+def _shorter_history(table: JointCountTable, k: int) -> JointCountTable:
+    """The table of the same transitions at history length k < table.k.  The oldest
+    digit is the most significant, so a cell's code at k is its code mod |X|**(k+1) * |U|."""
+    cell_space = table.alphabet_x.size ** (k + 1) * table.n_inputs
+    cells, inverse = np.unique(table.cells % cell_space, return_inverse=True)
+    transitions = inverse[table.transitions]
+    counts = np.bincount(transitions, minlength=cells.size)
+    return replace(table, k=k, cells=cells, counts=counts, transitions=transitions)
+
+
 def sweep_k(
     x: SymbolSeries | Sequence[SymbolSeries],
     u: SymbolSeries | Sequence[SymbolSeries] | None,
@@ -256,9 +266,9 @@ def sweep_k(
     """Evaluate measures for several history lengths on one series or on
     the pooled table of several realisations (see ``count_joint``).
 
-    All k share the alignment of the largest: the first max(k) samples of
-    each realisation are excluded from `next` positions for every k, so
-    values are comparable.
+    Counts once, at max(k), and derives each shorter history's table from
+    that count, so every k has the same transitions: the first max(k)
+    samples of each realisation are never `next` positions.
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
@@ -267,8 +277,8 @@ def sweep_k(
         raise ValueError("history lengths must be >= 1")
     measures = list(measures)
     _check_measures(measures, None)
-    kmax = ks[-1]
+    table = count_joint(x, u, EmbeddingConfig(ks[-1], input_lag))
     results = []
     for k in ks:
-        results += evaluate(measures, _count_joint(x, u, EmbeddingConfig(k, input_lag), kmax))
+        results += evaluate(measures, table if k == table.k else _shorter_history(table, k))
     return results

@@ -299,9 +299,9 @@ def stationary_distribution(
     return Distribution((Alphabet(n),), pi / pi.sum())
 
 
-def exact_joint(model: MarkovChainModel, tol: float = 1e-12) -> Distribution:
+def exact_joint(model: MarkovChainModel) -> Distribution:
     """Exact stationary joint p(history, next output, next input)."""
-    pi = stationary_distribution(model, tol).probs
+    pi = stationary_distribution(model).probs
     nu = model.input_alphabet.size
     nx = model.output_alphabet.size
     nh = nx**model.k
@@ -316,6 +316,6 @@ def exact_joint(model: MarkovChainModel, tol: float = 1e-12) -> Distribution:
     )
 
 
-def oracle_joint(proc: ProcessSpec, unit: TableUnit | UnitSpec, k: int, tol: float = 1e-12) -> Distribution:
+def oracle_joint(proc: ProcessSpec, unit: TableUnit | UnitSpec, k: int) -> Distribution:
     """Convenience: build the chain and return its exact joint."""
-    return exact_joint(build_joint_chain(proc, unit, k), tol)
+    return exact_joint(build_joint_chain(proc, unit, k))

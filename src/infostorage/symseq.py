@@ -173,13 +173,6 @@ def count_joint(
     first L-1 transitions are dropped, so each realisation of length N
     contributes N - k - max(0, L-1) transitions.
     """
-    return _count_joint(x, u, cfg, cfg.k)
-
-
-def _count_joint(x, u, cfg: EmbeddingConfig, k_align: int) -> JointCountTable:
-    """``count_joint`` with the first `next` position that history length
-    ``k_align`` >= ``cfg.k`` would have, so tables for several k count the
-    same transitions."""
     xs = [x] if isinstance(x, SymbolSeries) else list(x)
     us = [None] * len(xs) if u is None else [u] if isinstance(u, SymbolSeries) else list(u)
     if not xs:
@@ -201,7 +194,7 @@ def _count_joint(x, u, cfg: EmbeddingConfig, k_align: int) -> JointCountTable:
             raise ValueError("realisations must share one u alphabet")
     # Lag only matters when inputs are present.
     cfg = cfg if u is not None else EmbeddingConfig(cfg.k)
-    start = _check_length(min(len(xi) for xi in xs), EmbeddingConfig(k_align, cfg.input_lag))
+    start = _check_length(min(len(xi) for xi in xs), cfg)
     k = cfg.k
     nx = alphabet_x.size
     nu = alphabet_u.size if alphabet_u is not None else 1

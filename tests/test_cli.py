@@ -502,6 +502,19 @@ class TestSweep:
         )
         assert code == 1
 
+    def test_k_over_code_limit_fails_before_counting(self, tmp_path, capsys):
+        # the sweep counts once at max(k), so it is refused at k = 70, not
+        # after counting every k below the 64-bit code limit
+        p = gen_file(tmp_path, capsys, "bernoulli:p=0.5", "xor", 200)
+        code, out, err = run(
+            capsys, "sweep", "--data", str(p), "--input-col", "input", "--k-range", "1:70",
+        )
+        assert code == 2
+        assert out == ""
+        msg = json.loads(err)
+        assert msg["error"] == "data"
+        assert "2^70" in msg["message"] and "reduce k" in msg["message"]
+
 
 class TestOracle:
     def test_forwarding_u1_ais_zero(self, capsys):

@@ -18,6 +18,7 @@ from infostorage import (
     evaluate,
     generate_input,
     icais,
+    infodyn,
     interaction,
     local_ais,
     local_icais,
@@ -226,18 +227,46 @@ class TestSweepK:
         assert all(r.n_transitions == 5000 - 3 for r in results)
 
     def test_realisations_share_the_alignment(self, rng):
-        # each realisation drops its first max(k) samples, as trimming it would
-        lengths = (50, 80)
-        xs = [random_series(rng, n, 2) for n in lengths]
-        us = [random_series(rng, n, 3) for n in lengths]
-        results = sweep_k(xs, us, [1, 3], MEASURES, input_lag=2)
-        assert len(results) == 6
-        for r in results:
-            off = 3 - r.k
-            trimmed = [[SymbolSeries(s.alphabet, s.data[off:]) for s in group] for group in (xs, us)]
-            want = compute(r.measure, count_joint(*trimmed, EmbeddingConfig(r.k, 2)))
-            assert r.n_transitions == want.n_transitions == sum(n - 4 for n in lengths)
-            assert r.average_bits == want.average_bits
+        # each realisation drops its first max(k) samples, as trimming it would;
+        # (lengths, |X|, |U| or None for no input, lag), one series passed bare
+        cases = [
+            ((50, 80), 2, 3, 2),
+            ((50, 80), 3, 2, 0),
+            ((60, 45, 70), 2, None, 2),
+            ((90,), 3, None, 0),
+            ((90,), 2, 2, 0),
+        ]
+        for lengths, nx, nu, lag in cases:
+            xs = [random_series(rng, n, nx) for n in lengths]
+            us = [random_series(rng, n, nu) for n in lengths] if nu else None
+            measures = MEASURES if nu else ["ais"]
+            x_arg, u_arg = (xs[0], us and us[0]) if len(lengths) == 1 else (xs, us)
+            results = sweep_k(x_arg, u_arg, [1, 3], measures, input_lag=lag)
+            assert len(results) == 2 * len(measures)
+            # without an input the lag is ignored
+            drop = 3 + max(0, lag - 1) if nu else 3
+            for r in results:
+                off = 3 - r.k
+                trimmed = [
+                    [SymbolSeries(s.alphabet, s.data[off:]) for s in group] if group else None
+                    for group in (xs, us)
+                ]
+                want = compute(r.measure, count_joint(*trimmed, EmbeddingConfig(r.k, lag)))
+                assert r.n_transitions == want.n_transitions == sum(n - drop for n in lengths)
+                assert r.average_bits == want.average_bits
+
+    def test_counts_once_at_the_longest_history(self, rng, monkeypatch):
+        calls = []
+
+        def counting(x, u, cfg):
+            calls.append(cfg.k)
+            return count_joint(x, u, cfg)
+
+        monkeypatch.setattr(infodyn, "count_joint", counting)
+        x, u = random_series(rng, 500, 2), random_series(rng, 500, 2)
+        results = sweep_k(x, u, range(1, 9), MEASURES)
+        assert calls == [8]
+        assert [r.k for r in results] == [k for k in range(1, 9) for _ in MEASURES]
 
     def test_oracle_constant_across_k(self):
         for k in range(1, 5):
