@@ -33,7 +33,6 @@ from .infodyn import (
     local_ais,
     local_icais,
     local_interaction,
-    sweep_k,
 )
 from .procsim import (
     ConvergenceError,
@@ -87,5 +86,4 @@ __all__ = [
     "plugin_distribution",
     "simulate_unit",
     "stationary_distribution",
-    "sweep_k",
 ]

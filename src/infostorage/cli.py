@@ -124,19 +124,24 @@ def _parse_k_range(text: str) -> list[int]:
     return list(range(lo_i, hi_i + 1))
 
 
+# --process kind -> (ProcessSpec kind, its parameter, the parameter's range)
+_PROCESS_KINDS = {"bernoulli": ("bernoulli", "p", "0 <= p <= 1"),
+                  "markov": ("markov_binary", "p_stay", "0 < p_stay < 1")}
+
+
 def _parse_process_spec(text: str, seed: int = 0) -> procsim.ProcessSpec:
     """Parse 'bernoulli:p=0.5' or 'markov:p_stay=0.7'."""
     kind, _, rest = text.partition(":")
     params = _parse_params(rest, text)
-    if kind == "bernoulli":
-        if set(params) != {"p"}:
-            raise ValueError(f"bernoulli spec needs exactly p=<float>: {text!r}")
-        return procsim.ProcessSpec("bernoulli", p=float(params["p"]), seed=seed)
-    if kind == "markov":
-        if set(params) != {"p_stay"}:
-            raise ValueError(f"markov spec needs exactly p_stay=<float>: {text!r}")
-        return procsim.ProcessSpec("markov_binary", p_stay=float(params["p_stay"]), seed=seed)
-    raise ValueError(f"unknown process spec {text!r}")
+    if kind not in _PROCESS_KINDS:
+        raise ValueError(f"unknown process spec {text!r}")
+    spec_kind, name, bounds = _PROCESS_KINDS[kind]
+    if set(params) != {name}:
+        raise ValueError(f"{kind} spec needs exactly {name}=<float>: {text!r}")
+    try:
+        return procsim.ProcessSpec(spec_kind, seed=seed, **{name: float(params[name])})
+    except ValueError:
+        raise ValueError(f"{kind} spec needs {bounds}: {text!r}") from None
 
 
 def _parse_unit_spec(text: str) -> procsim.UnitSpec:
@@ -151,7 +156,10 @@ def _parse_unit_spec(text: str) -> procsim.UnitSpec:
         extra = set(params) - {"init"}
         if extra:
             raise ValueError(f"unknown xor parameters {sorted(extra)}: {text!r}")
-        return procsim.UnitSpec("xor_memory", initial_state=int(params.get("init", 0)))
+        try:
+            return procsim.UnitSpec("xor_memory", initial_state=int(params.get("init", 0)))
+        except ValueError:
+            raise ValueError(f"xor spec needs init=0 or init=1: {text!r}") from None
     raise ValueError(f"unknown unit spec {text!r}")
 
 
@@ -353,8 +361,9 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _analysis_plan(args) -> tuple[list[str], list[str], list[str]]:
-    """Output columns, input columns and measures the arguments name.
+def _analysis_plan(args) -> tuple[list[str], list[str], list[str], list[int]]:
+    """Output columns, input columns, measures and history lengths the
+    arguments name.
 
     Checked before the CSV is read, so a usage error costs no ingest.
     """
@@ -373,7 +382,10 @@ def _analysis_plan(args) -> tuple[list[str], list[str], list[str]]:
     measures = _measures(args.measure, bool(input_names))
     if args.input_lag < 0:
         raise UsageError("input_lag must be >= 0")
-    return col_names, input_names, measures
+    ks = _parse_k_range(args.k_range) if args.command == "sweep" else [args.k]
+    if ks[0] < 1:
+        raise UsageError("-k must be >= 1")
+    return col_names, input_names, measures, ks
 
 
 def _load_series(path: str, col_names: list[str], input_names: list[str]):
@@ -388,30 +400,27 @@ def _load_series(path: str, col_names: list[str], input_names: list[str]):
     return xs, us * len(col_names) if len(input_names) == 1 else us
 
 
-def cmd_analyze(args) -> int:
-    col_names, input_names, measures = _analysis_plan(args)
-    if args.k < 1:
-        raise UsageError("-k must be >= 1")
-    cfg = EmbeddingConfig(args.k, args.input_lag)
+def _analyze(args, default_format: str, local: bool = False) -> int:
+    """Count the named columns once, at the longest history length asked
+    for, and evaluate every asked length from that one table."""
+    col_names, input_names, measures, ks = _analysis_plan(args)
     xs, us = _load_series(args.data, col_names, input_names)
     try:
-        results = infodyn.evaluate(measures, count_joint(xs, us, cfg), local=args.local)
+        table = count_joint(xs, us, EmbeddingConfig(ks[-1], args.input_lag))
+        results = [r for k in ks for r in infodyn.evaluate(measures, table, k=k, local=local)]
     except ValueError as e:
         raise DataError(str(e))
-    _emit([_result_dict(r) for r in results], args.format or "json")
+    del table  # its per-step arrays would otherwise stay alive while the results are written
+    _emit([_result_dict(r) for r in results], args.format or default_format)
     return EXIT_OK
+
+
+def cmd_analyze(args) -> int:
+    return _analyze(args, "json", local=args.local)
 
 
 def cmd_sweep(args) -> int:
-    col_names, input_names, measures = _analysis_plan(args)
-    ks = _parse_k_range(args.k_range)
-    xs, us = _load_series(args.data, col_names, input_names)
-    try:
-        results = infodyn.sweep_k(xs, us, ks, measures, input_lag=args.input_lag)
-    except ValueError as e:
-        raise DataError(str(e))
-    _emit([_result_dict(r) for r in results], args.format or "csv")
-    return EXIT_OK
+    return _analyze(args, "csv")
 
 
 def cmd_oracle(args) -> int:
@@ -419,8 +428,9 @@ def cmd_oracle(args) -> int:
     unit = _parse_unit_spec(args.unit)
     measures = _measures(args.measure, True)
     ks = [args.k] if args.k is not None else _parse_k_range(args.k_range)
-    if args.k is not None and args.k < 1:
+    if ks[0] < 1:
         raise UsageError("-k must be >= 1")
+    procsim.build_joint_chain(proc, unit, ks[-1])  # over the state limit: refused before any solve
     results = []
     for k in ks:
         joint = procsim.oracle_joint(proc, unit, k)

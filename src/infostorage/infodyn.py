@@ -9,18 +9,20 @@ k, counted from one series or pooled over an ensemble of realisations (see
 
 holds exactly, not just in the limit.  Sources can be empirical count
 tables (plug-in estimation) or exact joint distributions from the
-Markov-chain oracle.
+Markov-chain oracle.  A table counted at history length k evaluates at any
+k' <= k, on the same transitions with their last k' history symbols, so a
+k-sweep counts once at its longest history.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .estimators import Distribution
-from .symseq import EmbeddingConfig, JointCountTable, SymbolSeries, count_joint, decode_history
+from .symseq import JointCountTable, decode_history
 
 MEASURES = ("ais", "icais", "interaction")
 
@@ -61,21 +63,32 @@ class MeasureResult:
     local: LocalProfile | None = None
 
 
-def _weighted_cells(source) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Sorted flat cell codes of a source's support, their probabilities,
-    and the source's (|X|, |U|)."""
+def _weighted_cells(source, k: int):
+    """Sorted flat cell codes of a source's support at history length k,
+    their probabilities, the source's (|X|, |U|), and for a table evaluated
+    below its own k the index of each table cell's code among them."""
     if isinstance(source, JointCountTable):
+        if not 1 <= k <= source.k:
+            raise ValueError(f"k={k} is outside 1..{source.k}, the count table's history lengths")
         total = source.total
         if total == 0:
             raise ValueError("cannot evaluate an empty count table")
-        return source.cells, source.counts / total, source.alphabet_x.size, source.n_inputs
+        nx, nu = source.alphabet_x.size, source.n_inputs
+        if k == source.k:
+            return source.cells, source.counts / total, nx, nu, None
+        # The oldest history digit is the most significant, so a cell's code
+        # at the shorter k is its code mod |X|**(k+1) * |U|.
+        codes, inverse = np.unique(source.cells % (nx ** (k + 1) * nu), return_inverse=True)
+        return codes, np.bincount(inverse, weights=source.counts) / total, nx, nu, inverse
     if isinstance(source, Distribution):
         if source.n_axes != 3:
             raise ValueError("joint distribution must have (history, next, input) axes")
+        nh, nx, nu = source.probs.shape
+        if nh != nx**k:
+            raise ValueError(f"distribution has {nh} histories, not |X|^k = {nx}^{k}")
         flat = source.probs.ravel()
         codes = np.flatnonzero(flat)
-        _, nx, nu = source.probs.shape
-        return codes, flat[codes], nx, nu
+        return codes, flat[codes], nx, nu, None
     raise TypeError(f"expected JointCountTable or Distribution, got {type(source)!r}")
 
 
@@ -98,10 +111,16 @@ class _Cells:
     p: np.ndarray
     n_inputs: int
     values: dict[str, np.ndarray]
+    # a table cell's index among ``codes``; None when they are the table's cells
+    inverse: np.ndarray | None = None
+
+    def at_table_cells(self, measure: str) -> np.ndarray:
+        values = self.values[measure]
+        return values if self.inverse is None else values[self.inverse]
 
 
-def _evaluate(source) -> _Cells:
-    codes, p, nx, nu = _weighted_cells(source)
+def _evaluate(source, k: int) -> _Cells:
+    codes, p, nx, nu, inverse = _weighted_cells(source, k)
     hx, u = np.divmod(codes, nu)
     h, x = np.divmod(hx, nx)
     ais_v = np.log2(_grouped(hx, p)) - np.log2(_grouped(h, p)) - np.log2(_grouped(x, p))
@@ -112,7 +131,7 @@ def _evaluate(source) -> _Cells:
         - np.log2(_grouped(x * nu + u, p))
     )
     values = {"ais": ais_v, "icais": icais_v, "interaction": icais_v - ais_v}
-    return _Cells(codes, p, nu, values)
+    return _Cells(codes, p, nu, values, inverse)
 
 
 def _check_measures(measures: Sequence[str], source) -> None:
@@ -155,57 +174,65 @@ def _held_out(cells: _Cells, measure: str, table: JointCountTable) -> np.ndarray
     return cells.values[measure][idx]
 
 
-def _steps(measure: str, per_cell: np.ndarray, table: JointCountTable) -> LocalProfile:
+def _steps(measure: str, per_cell: np.ndarray, table: JointCountTable, k: int) -> LocalProfile:
     """Spread per-cell values of the table's cells over its time steps."""
-    return LocalProfile(measure, table.k, per_cell[table.transitions], table.start_index)
+    return LocalProfile(measure, k, per_cell[table.transitions], table.start_index)
 
 
 def evaluate(
     measures: Sequence[str], source, *, k: int | None = None, local: bool = False
 ) -> list[MeasureResult]:
-    """Evaluate several measures from one pass over the source's cells.
+    """Evaluate several measures at history length k from one pass over the
+    source's cells.
 
     ``source`` is an empirical JointCountTable (plug-in estimation) or an
-    exact joint Distribution (then ``k`` must be given).  Each average is
-    the probability-weighted sum of the per-cell local values; ``local``
-    attaches per-step profiles, which exist for count tables only.
+    exact joint Distribution.  For a table, ``k`` defaults to the table's
+    own k and may be any length from 1 to it: the same transitions are then
+    evaluated with their last k history symbols, as if the series had been
+    counted at k with the table's alignment.  For a distribution ``k`` is
+    required and must match its history axis (|X|**k histories); an exact
+    joint is never marginalised.  Each average is the probability-weighted
+    sum of the per-cell local values; ``local`` attaches per-step profiles,
+    which exist for count tables only.
     """
     _check_measures(measures, source)
     table = source if isinstance(source, JointCountTable) else None
-    if table is None and k is None:
+    k = table.k if table is not None and k is None else k
+    if k is None:
         raise ValueError("k must be given when evaluating a bare distribution")
-    cells = _evaluate(source)
+    cells = _evaluate(source, k)
+    local = local and table is not None
     return [
         MeasureResult(
             measure=m,
-            k=table.k if table is not None else k,
+            k=k,
             average_bits=float(cells.p @ cells.values[m]),
             n_transitions=table.total if table is not None else 0,
             source="empirical" if table is not None else "oracle",
-            local=_steps(m, cells.values[m], table) if local and table is not None else None,
+            local=_steps(m, cells.at_table_cells(m), table, k) if local else None,
         )
         for m in measures
     ]
 
 
-def compute(measure: str, source, *, k: int | None = None, local: bool = False) -> MeasureResult:
+def compute(measure: str, source, *, k: int | None = None) -> MeasureResult:
     """Dispatch by measure name ('ais' | 'icais' | 'interaction')."""
-    return evaluate([measure], source, k=k, local=local)[0]
+    return evaluate([measure], source, k=k)[0]
 
 
-def ais(source, *, k: int | None = None, local: bool = False) -> MeasureResult:
+def ais(source, *, k: int | None = None) -> MeasureResult:
     """Average active information storage I(history; next), in bits."""
-    return compute("ais", source, k=k, local=local)
+    return compute("ais", source, k=k)
 
 
-def icais(source, *, k: int | None = None, local: bool = False) -> MeasureResult:
+def icais(source, *, k: int | None = None) -> MeasureResult:
     """Average input-corrected storage I(history; next | input), in bits."""
-    return compute("icais", source, k=k, local=local)
+    return compute("icais", source, k=k)
 
 
-def interaction(source, *, k: int | None = None, local: bool = False) -> MeasureResult:
+def interaction(source, *, k: int | None = None) -> MeasureResult:
     """Average interaction information: icAIS minus AIS, in bits."""
-    return compute("interaction", source, k=k, local=local)
+    return compute("interaction", source, k=k)
 
 
 def local_profile(measure: str, table: JointCountTable, dist: Distribution | None = None) -> LocalProfile:
@@ -219,11 +246,11 @@ def local_profile(measure: str, table: JointCountTable, dist: Distribution | Non
         raise TypeError("local profiles need an empirical count table")
     _check_measures([measure], table)
     if dist is None:
-        return _steps(measure, _evaluate(table).values[measure], table)
+        return evaluate([measure], table, local=True)[0].local
     nx = table.alphabet_x.size
     if dist.probs.shape[:2] != (nx**table.k, nx):
         raise ValueError("distribution axes do not match the count table's history and next")
-    return _steps(measure, _held_out(_evaluate(dist), measure, table), table)
+    return _steps(measure, _held_out(_evaluate(dist, table.k), measure, table), table, table.k)
 
 
 def local_ais(table: JointCountTable, dist: Distribution | None = None) -> LocalProfile:
@@ -243,42 +270,3 @@ def local_interaction(table: JointCountTable, dist: Distribution | None = None) 
     shared distribution.  Negative values flag redundancy between history
     and input, positive values synergy."""
     return local_profile("interaction", table, dist)
-
-
-def _shorter_history(table: JointCountTable, k: int) -> JointCountTable:
-    """The table of the same transitions at history length k < table.k.  The oldest
-    digit is the most significant, so a cell's code at k is its code mod |X|**(k+1) * |U|."""
-    cell_space = table.alphabet_x.size ** (k + 1) * table.n_inputs
-    cells, inverse = np.unique(table.cells % cell_space, return_inverse=True)
-    transitions = inverse[table.transitions]
-    counts = np.bincount(transitions, minlength=cells.size)
-    return replace(table, k=k, cells=cells, counts=counts, transitions=transitions)
-
-
-def sweep_k(
-    x: SymbolSeries | Sequence[SymbolSeries],
-    u: SymbolSeries | Sequence[SymbolSeries] | None,
-    k_range: Iterable[int],
-    measures: Iterable[str],
-    *,
-    input_lag: int = 0,
-) -> list[MeasureResult]:
-    """Evaluate measures for several history lengths on one series or on
-    the pooled table of several realisations (see ``count_joint``).
-
-    Counts once, at max(k), and derives each shorter history's table from
-    that count, so every k has the same transitions: the first max(k)
-    samples of each realisation are never `next` positions.
-    """
-    ks = sorted(set(int(k) for k in k_range))
-    if not ks:
-        raise ValueError("empty k range")
-    if ks[0] < 1:
-        raise ValueError("history lengths must be >= 1")
-    measures = list(measures)
-    _check_measures(measures, None)
-    table = count_joint(x, u, EmbeddingConfig(ks[-1], input_lag))
-    results = []
-    for k in ks:
-        results += evaluate(measures, table if k == table.k else _shorter_history(table, k))
-    return results

@@ -1,13 +1,14 @@
 import csv
 import io
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from infostorage import Alphabet, EmbeddingConfig, SymbolSeries, count_joint, infodyn, procsim
+from infostorage import Alphabet, EmbeddingConfig, SymbolSeries, cli, count_joint, infodyn, procsim
 from infostorage.cli import (
     _ROWS_PER_WRITE,
     DataError,
@@ -114,11 +115,12 @@ class TestSpecParsing:
         assert _parse_unit_spec("xor").initial_state == 0
 
     def test_malformed_specs(self):
-        for bad in ("bernoulli", "bernoulli:q=1", "markov:p=0.5", "gauss:p=1", "bernoulli:p"):
-            with pytest.raises(ValueError):
+        for bad in ("bernoulli", "bernoulli:q=1", "markov:p=0.5", "gauss:p=1", "bernoulli:p",
+                    "markov:p_stay=1.0", "bernoulli:p=abc"):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
                 _parse_process_spec(bad)
-        for bad in ("xor:init", "forwarding:x=1", "nand"):
-            with pytest.raises(ValueError):
+        for bad in ("xor:init", "forwarding:x=1", "nand", "xor:init=2", "xor:init=abc"):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
                 _parse_unit_spec(bad)
 
 
@@ -502,6 +504,26 @@ class TestSweep:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("argv, ks", [
+        (["sweep", "--k-range", "1:8"], list(range(1, 9))),
+        (["analyze", "-k", "5"], [5]),
+    ])
+    def test_counts_once_at_the_longest_history(self, tmp_path, capsys, monkeypatch, argv, ks):
+        calls = []
+
+        def counting(x, u, cfg):
+            calls.append(cfg.k)
+            return count_joint(x, u, cfg)
+
+        monkeypatch.setattr(cli, "count_joint", counting)
+        p = gen_file(tmp_path, capsys, "markov:p_stay=0.7", "xor", 500)
+        code, out, err = run(
+            capsys, *argv, "--input-col", "input", "--format", "json", "--data", str(p),
+        )
+        assert code == 0, err
+        assert calls == [ks[-1]]
+        assert [r["k"] for r in read_jsonl(out)] == [k for k in ks for _ in range(3)]
+
     def test_k_over_code_limit_fails_before_counting(self, tmp_path, capsys):
         # the sweep counts once at max(k), so it is refused at k = 70, not
         # after counting every k below the 64-bit code limit
@@ -560,6 +582,28 @@ class TestOracle:
             "--measure", "ais", "-k", "1",
         )
         assert code == 1
+        msg = json.loads(err)
+        assert msg["error"] == "usage"
+        # in the spelling --process accepts, not the library's kind names
+        assert msg["message"] == "markov spec needs 0 < p_stay < 1: 'markov:p_stay=1.0'"
+
+    def test_k_range_over_state_limit_fails_before_solving(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(proc, unit, k):
+            calls.append(k)
+            return procsim.exact_joint(procsim.build_joint_chain(proc, unit, k))
+
+        monkeypatch.setattr(procsim, "oracle_joint", counting)
+        code, out, err = run(
+            capsys, "oracle", "--process", "markov:p_stay=0.7", "--unit", "xor",
+            "--k-range", "1:19",
+        )
+        assert code == 1
+        assert out == "" and calls == []
+        msg = json.loads(err)
+        assert msg["error"] == "usage"
+        assert str(2 * 2 * 2**19) in msg["message"] and "reduce k" in msg["message"]
 
     def test_k_over_state_limit_is_usage_error(self, capsys):
         # 2 * 2 * 2**40 composite states: refused before anything is built

@@ -18,7 +18,6 @@ from infostorage import (
     evaluate,
     generate_input,
     icais,
-    infodyn,
     interaction,
     local_ais,
     local_icais,
@@ -27,7 +26,6 @@ from infostorage import (
     oracle_joint,
     plugin_distribution,
     simulate_unit,
-    sweep_k,
 )
 from infostorage.infodyn import local_profile
 
@@ -218,11 +216,27 @@ class TestEnsembleAverage:
                 assert np.array_equal(b.local.values, np.tile(a.local.values, 2))
 
 
+def sweep(x, u, ks, measures, input_lag=0):
+    """A k-sweep as the library gives it: count once at max(k), then
+    evaluate each k from that table."""
+    table = count_joint(x, u, EmbeddingConfig(max(ks), input_lag))
+    return [r for k in ks for r in evaluate(measures, table, k=k)]
+
+
+def trimmed_count(xs, us, drop, k, lag):
+    """The table of each realisation with its first ``drop`` samples cut."""
+    groups = [
+        [SymbolSeries(s.alphabet, s.data[drop:]) for s in group] if group else None
+        for group in (xs, us)
+    ]
+    return count_joint(*groups, EmbeddingConfig(k, lag))
+
+
 class TestSweepK:
     def test_common_alignment(self, rng):
         x = random_series(rng, 5000, 2)
         u = random_series(rng, 5000, 2)
-        results = sweep_k(x, u, range(1, 4), ["ais"])
+        results = sweep(x, u, range(1, 4), ["ais"])
         # all k share the start index of the largest k
         assert all(r.n_transitions == 5000 - 3 for r in results)
 
@@ -241,32 +255,54 @@ class TestSweepK:
             us = [random_series(rng, n, nu) for n in lengths] if nu else None
             measures = MEASURES if nu else ["ais"]
             x_arg, u_arg = (xs[0], us and us[0]) if len(lengths) == 1 else (xs, us)
-            results = sweep_k(x_arg, u_arg, [1, 3], measures, input_lag=lag)
-            assert len(results) == 2 * len(measures)
+            results = sweep(x_arg, u_arg, [1, 3], measures, input_lag=lag)
+            assert [r.k for r in results] == [1] * len(measures) + [3] * len(measures)
             # without an input the lag is ignored
             drop = 3 + max(0, lag - 1) if nu else 3
             for r in results:
-                off = 3 - r.k
-                trimmed = [
-                    [SymbolSeries(s.alphabet, s.data[off:]) for s in group] if group else None
-                    for group in (xs, us)
-                ]
-                want = compute(r.measure, count_joint(*trimmed, EmbeddingConfig(r.k, lag)))
+                want = compute(r.measure, trimmed_count(xs, us, 3 - r.k, r.k, lag))
                 assert r.n_transitions == want.n_transitions == sum(n - drop for n in lengths)
                 assert r.average_bits == want.average_bits
 
-    def test_counts_once_at_the_longest_history(self, rng, monkeypatch):
-        calls = []
+    def test_shorter_k_equals_trimmed_count(self, rng):
+        # a table counted at k_max, evaluated at k, gives the averages and the
+        # local profiles of the series counted at k after dropping its first
+        # k_max - k samples, float for float
+        for _ in range(40):
+            nx, nu = int(rng.integers(2, 5)), int(rng.integers(0, 4))
+            k_max, lag = int(rng.integers(2, 6)), int(rng.integers(0, 4))
+            lengths = rng.integers(k_max + lag + 2, 200, int(rng.integers(1, 4)))
+            xs = [random_series(rng, int(n), nx) for n in lengths]
+            us = [random_series(rng, int(n), nu) for n in lengths] if nu else None
+            measures = MEASURES if nu else ["ais"]
+            table = count_joint(xs, us, EmbeddingConfig(k_max, lag))
+            for k in range(1, k_max + 1):
+                got = evaluate(measures, table, k=k, local=True)
+                want = evaluate(measures, trimmed_count(xs, us, k_max - k, k, lag), local=True)
+                for a, b in zip(got, want):
+                    assert (a.k, a.n_transitions) == (b.k, b.n_transitions) == (k, table.total)
+                    assert a.average_bits == b.average_bits
+                    assert a.local.start_index == table.start_index
+                    assert np.array_equal(a.local.values, b.local.values)
 
-        def counting(x, u, cfg):
-            calls.append(cfg.k)
-            return count_joint(x, u, cfg)
+    def test_k_outside_table_raises(self, rng):
+        table = count_joint(random_series(rng, 100, 2), random_series(rng, 100, 2), EmbeddingConfig(3))
+        for k in (0, -1, 4):
+            with pytest.raises(ValueError, match="outside 1..3"):
+                evaluate(MEASURES, table, k=k)
+            with pytest.raises(ValueError, match="outside 1..3"):
+                ais(table, k=k)
+            with pytest.raises(ValueError, match="outside 1..3"):
+                evaluate(["ais"], table, k=k, local=True)
 
-        monkeypatch.setattr(infodyn, "count_joint", counting)
-        x, u = random_series(rng, 500, 2), random_series(rng, 500, 2)
-        results = sweep_k(x, u, range(1, 9), MEASURES)
-        assert calls == [8]
-        assert [r.k for r in results] == [k for k in range(1, 9) for _ in MEASURES]
+    def test_distribution_k_must_match(self):
+        joint = oracle_joint(U2, FWD, 3)
+        assert ais(joint, k=3).k == 3
+        for k in (1, 2, 4, 7):
+            with pytest.raises(ValueError, match="histories"):
+                ais(joint, k=k)
+        with pytest.raises(ValueError, match="k must be given"):
+            evaluate(MEASURES, joint)
 
     def test_oracle_constant_across_k(self):
         for k in range(1, 5):
@@ -281,18 +317,14 @@ class TestSweepK:
             )
 
     def test_rejects_bad_arguments(self, rng):
-        x = random_series(rng, 100, 2)
+        table = count_joint(random_series(rng, 100, 2), None, EmbeddingConfig(2))
         with pytest.raises(ValueError):
-            sweep_k(x, None, [], ["ais"])
-        with pytest.raises(ValueError):
-            sweep_k(x, None, [0, 1], ["ais"])
-        with pytest.raises(ValueError):
-            sweep_k(x, None, [1], ["nope"])
+            evaluate(["nope"], table, k=1)
 
     def test_empirical_sweep_runs(self):
         u = generate_input(U2, 20_000)
         x = simulate_unit(FWD, u)
-        results = sweep_k(x, u, [1, 2], ["ais", "icais", "interaction"])
+        results = sweep(x, u, [1, 2], ["ais", "icais", "interaction"])
         assert len(results) == 6
         by = {(r.k, r.measure): r.average_bits for r in results}
         assert abs(by[(1, "ais")] - AIS_FWD_U2) < 0.02
