@@ -113,7 +113,13 @@ def _measures(name: str, has_input: bool) -> list[str]:
     return names
 
 
-def _parse_k_range(text: str) -> list[int]:
+def _history_lengths(args) -> list[int]:
+    """The history lengths ``-k`` or ``--k-range`` names, in order."""
+    text = getattr(args, "k_range", None)
+    if text is None:
+        if args.k < 1:
+            raise UsageError("-k must be >= 1")
+        return [args.k]
     lo, sep, hi = text.partition(":")
     try:
         lo_i, hi_i = int(lo), int(hi if sep else lo)
@@ -382,10 +388,7 @@ def _analysis_plan(args) -> tuple[list[str], list[str], list[str], list[int]]:
     measures = _measures(args.measure, bool(input_names))
     if args.input_lag < 0:
         raise UsageError("input_lag must be >= 0")
-    ks = _parse_k_range(args.k_range) if args.command == "sweep" else [args.k]
-    if ks[0] < 1:
-        raise UsageError("-k must be >= 1")
-    return col_names, input_names, measures, ks
+    return col_names, input_names, measures, _history_lengths(args)
 
 
 def _load_series(path: str, col_names: list[str], input_names: list[str]):
@@ -424,18 +427,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    """Solve the chain once, at the longest k asked for, and evaluate every
+    asked k from that one exact joint."""
     proc = _parse_process_spec(args.process)
     unit = _parse_unit_spec(args.unit)
     measures = _measures(args.measure, True)
-    ks = [args.k] if args.k is not None else _parse_k_range(args.k_range)
-    if ks[0] < 1:
-        raise UsageError("-k must be >= 1")
-    procsim.build_joint_chain(proc, unit, ks[-1])  # over the state limit: refused before any solve
-    results = []
-    for k in ks:
-        joint = procsim.oracle_joint(proc, unit, k)
-        results += [_result_dict(r) for r in infodyn.evaluate(measures, joint, k=k)]
-    _emit(results, args.format)
+    ks = _history_lengths(args)
+    joint = procsim.oracle_joint(proc, unit, ks[-1])
+    results = [r for k in ks for r in infodyn.evaluate(measures, joint, k=k)]
+    _emit([_result_dict(r) for r in results], args.format)
     return EXIT_OK
 
 

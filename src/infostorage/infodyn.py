@@ -9,13 +9,15 @@ k, counted from one series or pooled over an ensemble of realisations (see
 
 holds exactly, not just in the limit.  Sources can be empirical count
 tables (plug-in estimation) or exact joint distributions from the
-Markov-chain oracle.  A table counted at history length k evaluates at any
-k' <= k, on the same transitions with their last k' history symbols, so a
-k-sweep counts once at its longest history.
+Markov-chain oracle.  Either evaluates at any k' up to its own history
+length k, from its cells' last k' history symbols: a count table on the same
+transitions, an exact joint as its marginal.  So a k-sweep counts or solves
+once, at its longest history.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,31 +67,37 @@ class MeasureResult:
 
 def _weighted_cells(source, k: int):
     """Sorted flat cell codes of a source's support at history length k,
-    their probabilities, the source's (|X|, |U|), and for a table evaluated
-    below its own k the index of each table cell's code among them."""
+    their probabilities, and the source's (|X|, |U|).
+
+    A source evaluates at any k from 1 to its own history length: a count
+    table's k, or for a distribution the K of its |X|**K histories (any k
+    when |X| = 1, whose every history length has one history).
+    """
     if isinstance(source, JointCountTable):
-        if not 1 <= k <= source.k:
-            raise ValueError(f"k={k} is outside 1..{source.k}, the count table's history lengths")
-        total = source.total
-        if total == 0:
-            raise ValueError("cannot evaluate an empty count table")
-        nx, nu = source.alphabet_x.size, source.n_inputs
-        if k == source.k:
-            return source.cells, source.counts / total, nx, nu, None
-        # The oldest history digit is the most significant, so a cell's code
-        # at the shorter k is its code mod |X|**(k+1) * |U|.
-        codes, inverse = np.unique(source.cells % (nx ** (k + 1) * nu), return_inverse=True)
-        return codes, np.bincount(inverse, weights=source.counts) / total, nx, nu, inverse
-    if isinstance(source, Distribution):
+        codes, weights, total = source.cells, source.counts, source.total
+        nx, nu, own_k, name = source.alphabet_x.size, source.n_inputs, source.k, "count table"
+    elif isinstance(source, Distribution):
         if source.n_axes != 3:
             raise ValueError("joint distribution must have (history, next, input) axes")
         nh, nx, nu = source.probs.shape
-        if nh != nx**k:
-            raise ValueError(f"distribution has {nh} histories, not |X|^k = {nx}^{k}")
+        own_k = round(math.log(nh, nx)) if nx > 1 else k
+        if nx**own_k != nh:
+            raise ValueError(f"distribution has {nh} histories, not a power of |X| = {nx}")
         flat = source.probs.ravel()
         codes = np.flatnonzero(flat)
-        return codes, flat[codes], nx, nu, None
-    raise TypeError(f"expected JointCountTable or Distribution, got {type(source)!r}")
+        weights, total, name = flat[codes], 1.0, "distribution"
+    else:
+        raise TypeError(f"expected JointCountTable or Distribution, got {type(source)!r}")
+    if not 1 <= k <= own_k:
+        raise ValueError(f"k={k} is outside 1..{own_k}, the {name}'s history lengths")
+    if total == 0:
+        raise ValueError("cannot evaluate an empty count table")
+    if k == own_k:
+        return codes, weights / total, nx, nu
+    # The oldest history digit is the most significant, so a cell's code
+    # at the shorter k is its code mod |X|**(k+1) * |U|.
+    codes, inverse = np.unique(codes % (nx ** (k + 1) * nu), return_inverse=True)
+    return codes, np.bincount(inverse, weights=weights) / total, nx, nu
 
 
 def _grouped(keys: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -111,16 +119,10 @@ class _Cells:
     p: np.ndarray
     n_inputs: int
     values: dict[str, np.ndarray]
-    # a table cell's index among ``codes``; None when they are the table's cells
-    inverse: np.ndarray | None = None
-
-    def at_table_cells(self, measure: str) -> np.ndarray:
-        values = self.values[measure]
-        return values if self.inverse is None else values[self.inverse]
 
 
 def _evaluate(source, k: int) -> _Cells:
-    codes, p, nx, nu, inverse = _weighted_cells(source, k)
+    codes, p, nx, nu = _weighted_cells(source, k)
     hx, u = np.divmod(codes, nu)
     h, x = np.divmod(hx, nx)
     ais_v = np.log2(_grouped(hx, p)) - np.log2(_grouped(h, p)) - np.log2(_grouped(x, p))
@@ -131,7 +133,7 @@ def _evaluate(source, k: int) -> _Cells:
         - np.log2(_grouped(x * nu + u, p))
     )
     values = {"ais": ais_v, "icais": icais_v, "interaction": icais_v - ais_v}
-    return _Cells(codes, p, nu, values, inverse)
+    return _Cells(codes, p, nu, values)
 
 
 def _check_measures(measures: Sequence[str], source) -> None:
@@ -146,37 +148,32 @@ def _check_measures(measures: Sequence[str], source) -> None:
             raise ValueError(f"measure {m!r} requires an input dimension; counts have none")
 
 
-def _held_out(cells: _Cells, measure: str, table: JointCountTable) -> np.ndarray:
-    """Values of ``measure`` at the table's observed cells, looked up among
-    a separately evaluated distribution's cells.
+def _at_steps(cells: _Cells, measure: str, table: JointCountTable, k: int) -> LocalProfile:
+    """Values of ``measure`` over the table's time steps: each table cell's
+    code at history length k is looked up among the evaluated cells.
 
     AIS depends on (history, next) only, so it is looked up by that pair;
     the other measures by the whole cell.
     """
+    nx, nu = table.alphabet_x.size, table.n_inputs
+    codes = table.cells % (nx ** (k + 1) * nu)
     if measure == "ais":
-        keys, queries = cells.codes // cells.n_inputs, table.cells // table.n_inputs
+        keys, queries = cells.codes // cells.n_inputs, codes // nu
         what = "p(history, next)"
     else:
-        if cells.n_inputs != table.n_inputs:
+        if cells.n_inputs != nu:
             raise ValueError("distribution and count table have different input alphabets")
-        keys, queries = cells.codes, table.cells
+        keys, queries = cells.codes, codes
         what = "p(history, next, input)"
     idx = np.minimum(np.searchsorted(keys, queries), keys.size - 1)
     missing = keys[idx] != queries
     if np.any(missing):
-        code = int(table.cells[np.argmax(missing)]) // table.n_inputs
-        nx = table.alphabet_x.size
-        hist = decode_history(code // nx, table.k, nx)
+        h, x = divmod(int(codes[np.argmax(missing)]) // nu, nx)
         raise ValueError(
-            f"observed transition (history={hist}, next={code % nx}) has zero "
+            f"observed transition (history={decode_history(h, k, nx)}, next={x}) has zero "
             f"probability under the supplied distribution ({what})"
         )
-    return cells.values[measure][idx]
-
-
-def _steps(measure: str, per_cell: np.ndarray, table: JointCountTable, k: int) -> LocalProfile:
-    """Spread per-cell values of the table's cells over its time steps."""
-    return LocalProfile(measure, k, per_cell[table.transitions], table.start_index)
+    return LocalProfile(measure, k, cells.values[measure][idx][table.transitions], table.start_index)
 
 
 def evaluate(
@@ -190,10 +187,11 @@ def evaluate(
     own k and may be any length from 1 to it: the same transitions are then
     evaluated with their last k history symbols, as if the series had been
     counted at k with the table's alignment.  For a distribution ``k`` is
-    required and must match its history axis (|X|**k histories); an exact
-    joint is never marginalised.  Each average is the probability-weighted
-    sum of the per-cell local values; ``local`` attaches per-step profiles,
-    which exist for count tables only.
+    required, and may be any length from 1 to its own (|X|**K histories):
+    the joint is then marginalised onto the last k history symbols.  Each
+    average is the probability-weighted sum of the per-cell local values;
+    ``local`` attaches per-step profiles, which exist for count tables
+    only.
     """
     _check_measures(measures, source)
     table = source if isinstance(source, JointCountTable) else None
@@ -209,7 +207,7 @@ def evaluate(
             average_bits=float(cells.p @ cells.values[m]),
             n_transitions=table.total if table is not None else 0,
             source="empirical" if table is not None else "oracle",
-            local=_steps(m, cells.at_table_cells(m), table, k) if local else None,
+            local=_at_steps(cells, m, table, k) if local else None,
         )
         for m in measures
     ]
@@ -240,17 +238,17 @@ def local_profile(measure: str, table: JointCountTable, dist: Distribution | Non
 
     ``dist`` defaults to the plug-in distribution of the same table;
     passing a separately estimated (or exact) distribution gives held-out
-    local values.
+    local values; its history may be longer than the table's, and is then
+    marginalised onto the table's k.
     """
     if not isinstance(table, JointCountTable):
         raise TypeError("local profiles need an empirical count table")
     _check_measures([measure], table)
     if dist is None:
         return evaluate([measure], table, local=True)[0].local
-    nx = table.alphabet_x.size
-    if dist.probs.shape[:2] != (nx**table.k, nx):
-        raise ValueError("distribution axes do not match the count table's history and next")
-    return _steps(measure, _held_out(_evaluate(dist, table.k), measure, table), table, table.k)
+    if dist.probs.shape[1:2] != (table.alphabet_x.size,):
+        raise ValueError("distribution's next axis does not match the count table's alphabet")
+    return _at_steps(_evaluate(dist, table.k), measure, table, table.k)
 
 
 def local_ais(table: JointCountTable, dist: Distribution | None = None) -> LocalProfile:

@@ -599,11 +599,39 @@ class TestOracle:
             capsys, "oracle", "--process", "markov:p_stay=0.7", "--unit", "xor",
             "--k-range", "1:19",
         )
+        # one attempt, at the longest k; no shorter k is solved
         assert code == 1
-        assert out == "" and calls == []
+        assert out == "" and calls == [19]
         msg = json.loads(err)
         assert msg["error"] == "usage"
         assert str(2 * 2 * 2**19) in msg["message"] and "reduce k" in msg["message"]
+
+    def test_k_range_solves_once_at_the_longest_history(self, capsys, monkeypatch):
+        calls = []
+        solve = procsim.oracle_joint
+
+        def counting(proc, unit, k):
+            calls.append(k)
+            return solve(proc, unit, k)
+
+        monkeypatch.setattr(procsim, "oracle_joint", counting)
+        code, out, err = run(
+            capsys, "oracle", "--process", "markov:p_stay=0.7", "--unit", "xor:init=1",
+            "--k-range", "1:6",
+        )
+        assert code == 0, err
+        assert calls == [6]
+        results = read_jsonl(out)
+        assert [(r["k"], r["measure"]) for r in results] == [
+            (k, m) for k in range(1, 7) for m in infodyn.MEASURES
+        ]
+        proc = procsim.ProcessSpec("markov_binary", p_stay=0.7)
+        unit = procsim.UnitSpec("xor_memory", initial_state=1)
+        for k in range(1, 7):
+            want = infodyn.evaluate(infodyn.MEASURES, solve(proc, unit, k), k=k)
+            got = [r for r in results if r["k"] == k]
+            for g, w in zip(got, want):
+                assert abs(g["average_bits"] - w.average_bits) < 1e-10
 
     def test_k_over_state_limit_is_usage_error(self, capsys):
         # 2 * 2 * 2**40 composite states: refused before anything is built

@@ -295,14 +295,33 @@ class TestSweepK:
             with pytest.raises(ValueError, match="outside 1..3"):
                 evaluate(["ais"], table, k=k, local=True)
 
-    def test_distribution_k_must_match(self):
-        joint = oracle_joint(U2, FWD, 3)
-        assert ais(joint, k=3).k == 3
-        for k in (1, 2, 4, 7):
-            with pytest.raises(ValueError, match="histories"):
-                ais(joint, k=k)
+    def test_distribution_evaluates_at_shorter_k(self):
+        # a joint solved at k = 8, marginalised onto k, gives the joint solved
+        # at k; xor under bernoulli(0) and bernoulli(1) has a reducible and a
+        # periodic chain
+        cases = [(proc, unit) for proc in (U1, U2) for unit in (FWD, XOR)]
+        cases += [(ProcessSpec("bernoulli", p=p), XOR) for p in (0.0, 1.0)]
+        for proc, unit in cases:
+            joint = oracle_joint(proc, unit, 8)
+            for k in range(1, 9):
+                got = evaluate(MEASURES, joint, k=k)
+                want = evaluate(MEASURES, oracle_joint(proc, unit, k), k=k)
+                for a, b in zip(got, want):
+                    assert a.k == k
+                    assert abs(a.average_bits - b.average_bits) < 1e-10
+            for k in (0, 9):
+                with pytest.raises(ValueError, match="outside 1..8"):
+                    evaluate(MEASURES, joint, k=k)
         with pytest.raises(ValueError, match="k must be given"):
             evaluate(MEASURES, joint)
+        six = Distribution((Alphabet(6), BINARY, BINARY), np.full((6, 2, 2), 1 / 24))
+        for k in (1, 2, 3):
+            with pytest.raises(ValueError, match="6 histories"):
+                evaluate(MEASURES, six, k=k)
+        # with |X| = 1 every history length has the one history
+        flat = Distribution((Alphabet(1), Alphabet(1), BINARY), [[[0.25, 0.75]]])
+        for k in (1, 5):
+            assert [r.average_bits for r in evaluate(MEASURES, flat, k=k)] == [0.0] * 3
 
     def test_oracle_constant_across_k(self):
         for k in range(1, 5):
@@ -424,6 +443,24 @@ class TestHeldOutLocals:
             t = count_joint(x, u, cfg)
             d = random_distribution(rng, nx, nu, cfg.k)
             want = loop_locals(x, u, cfg, d)
+            for m in MEASURES:
+                got = local_profile(m, t, d).values
+                assert np.max(np.abs(got - np.array(want[m]))) < 1e-12
+
+    def test_longer_distribution_is_marginalised(self, rng):
+        # a k = 5 distribution against a k = 3 table: the loop reference reads
+        # the joint summed over the two oldest history symbols
+        for _ in range(10):
+            nx, nu = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            cfg = EmbeddingConfig(3, int(rng.integers(0, 3)))
+            x, u = random_series(rng, 200, nx), random_series(rng, 200, nu)
+            d = random_distribution(rng, nx, nu, 5)
+            d3 = Distribution(
+                (Alphabet(nx**3), Alphabet(nx), Alphabet(nu)),
+                d.probs.reshape(nx**2, nx**3, nx, nu).sum(axis=0),
+            )
+            want = loop_locals(x, u, cfg, d3)
+            t = count_joint(x, u, cfg)
             for m in MEASURES:
                 got = local_profile(m, t, d).values
                 assert np.max(np.abs(got - np.array(want[m]))) < 1e-12
