@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import infodyn, procsim
-from .symseq import Alphabet, EmbeddingConfig, SymbolSeries, count_joint
+from .symseq import Alphabet, EmbeddingConfig, SymbolSeries, _rank_codes, count_joint
 
 SCHEMA = "icais/1"
 
@@ -262,12 +262,24 @@ def _read_csv_cells(path: str) -> tuple[list[str], np.ndarray]:
 
 
 def _series_from_columns(data: dict[str, np.ndarray], names: list[str]) -> list[SymbolSeries]:
-    lo = min(int(data[c].min()) for c in names)
-    hi = max(int(data[c].max()) for c in names)
+    """One series per named column, over one alphabet for the group.
+
+    Symbols are numbered by their rank among the values the columns hold,
+    so the usable k depends on how many distinct symbols occur, not on the
+    largest.  The relabel is monotone, so every result is as for the
+    original symbols; when all of 0..max occur it is the identity and is
+    skipped.
+    """
+    values = np.concatenate([data[c] for c in names])
+    lo, hi = int(values.min()), int(values.max())
     if lo < 0:
         raise DataError(f"negative symbol in column(s) {names}")
-    alphabet = Alphabet(max(hi + 1, 2))
-    return [SymbolSeries(alphabet, data[c]) for c in names]
+    symbols, _, ranks = _rank_codes(values, hi + 1)
+    alphabet = Alphabet(max(symbols.size, 2))
+    if symbols.size == hi + 1:
+        return [SymbolSeries(alphabet, data[c]) for c in names]
+    ends = np.cumsum([data[c].size for c in names[:-1]])
+    return [SymbolSeries(alphabet, r) for r in np.split(ranks, ends)]
 
 
 def _result_dict(res: infodyn.MeasureResult) -> dict:
@@ -453,6 +465,7 @@ def _emit_error(kind: str, message: str):
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
@@ -466,7 +479,8 @@ def main(argv=None) -> int:
         _emit_error("numerical", str(e))
         return EXIT_NUMERICAL
     except MemoryError:
-        _emit_error("numerical", "out of memory; reduce k")
+        size = "--n" if args is not None and args.command == "generate" else "k"
+        _emit_error("numerical", f"out of memory; reduce {size}")
         return EXIT_NUMERICAL
     except OverflowError as e:
         _emit_error("data", f"value out of the 64-bit integer range: {e}")

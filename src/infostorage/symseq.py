@@ -122,8 +122,11 @@ class JointCountTable:
     ``start_index + t``, so local measures stay aligned to the series.
     A table pooled over several realisations lists their transitions one
     realisation after another, each realisation's from its own index
-    ``start_index`` on.  Memory is O(N + observed cells), whatever the
-    alphabet sizes.
+    ``start_index`` on.  ``count_joint`` builds it by one dense
+    ``bincount`` over the cell space |X|^(k+1)·|U| when that space is at
+    most the number of transitions N, and by sorting the cell codes
+    otherwise; both give the same arrays, and memory is O(N + observed
+    cells) either way, whatever the alphabet sizes.
     """
 
     k: int
@@ -172,6 +175,12 @@ def count_joint(
     When a lag L > 1 would reach before the start of the input series, the
     first L-1 transitions are dropped, so each realisation of length N
     contributes N - k - max(0, L-1) transitions.
+
+    When the cell space |X|^(k+1)·|U| is at most the number of pooled
+    transitions, the cells are counted and ranked in one dense ``bincount``
+    pass over that space, O(N) time; a wider space is sorted instead,
+    O(N log N).  Either way the arrays held are at most N long besides the
+    observed cells, so memory is O(N + observed cells).
     """
     xs = [x] if isinstance(x, SymbolSeries) else list(x)
     us = [None] * len(xs) if u is None else [u] if isinstance(u, SymbolSeries) else list(u)
@@ -198,17 +207,14 @@ def count_joint(
     k = cfg.k
     nx = alphabet_x.size
     nu = alphabet_u.size if alphabet_u is not None else 1
-    if nx ** (k + 1) * nu >= _CODE_LIMIT:
+    space = nx ** (k + 1) * nu
+    if space >= _CODE_LIMIT:
         raise ValueError(
             f"cell space |X|^k * |X| * |U| = {nx}^{k} * {nx} * {nu} does not "
             "fit a 64-bit code; reduce k"
         )
     flat = _flat_codes(xs, us, cfg, start)
-    # Searching the sorted cells gives np.unique's inverse without its
-    # argsort and gathers, which hold about six N-sized arrays at once.
-    cells = np.unique(flat)
-    transitions = np.searchsorted(cells, flat)
-    counts = np.bincount(transitions, minlength=cells.size)
+    cells, counts, transitions = _rank_codes(flat, space)
     return JointCountTable(
         k=k,
         alphabet_x=alphabet_x,
@@ -233,3 +239,23 @@ def _flat_codes(xs, us, cfg: EmbeddingConfig, start: int) -> np.ndarray:
         parts.append(flat)
     # One series is counted in place; only an ensemble is joined.
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _rank_codes(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted distinct values of ``codes``, how often each occurs, and the
+    index of each code among them.
+
+    ``codes`` lie in ``[0, space)``.  When the space is no larger than the
+    number of codes, one dense ``bincount`` over it ranks them in O(N);
+    otherwise they are sorted, in O(N log N).  Memory is O(N + distinct
+    codes) either way.
+    """
+    if space <= codes.size:
+        dense = np.bincount(codes, minlength=space)
+        distinct = np.flatnonzero(dense)
+        return distinct, dense[distinct], (np.cumsum(dense > 0) - 1)[codes]
+    # Searching the sorted cells gives np.unique's inverse without its
+    # argsort and gathers, which hold about six N-sized arrays at once.
+    distinct = np.unique(codes)
+    index = np.searchsorted(distinct, codes)
+    return distinct, np.bincount(index, minlength=distinct.size), index

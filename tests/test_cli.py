@@ -83,6 +83,18 @@ class TestGenerate:
         )
         assert code == 1
 
+    def test_memory_error_names_n(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(procsim, "generate_input", exhausted)
+        code, _, err = run(
+            capsys, "generate", "--process", "bernoulli:p=0.5", "--n", "10",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 3
+        assert json.loads(err) == {"error": "numerical", "message": "out of memory; reduce --n"}
+
     @pytest.mark.parametrize("unit", [None, "xor", "forwarding"])
     def test_file_matches_csv_writer(self, tmp_path, capsys, unit):
         # more rows than one write block, and not a multiple of it
@@ -299,10 +311,41 @@ class TestAnalyze:
         assert peak < 50 * 2**20
         (res,) = read_jsonl(out)
         assert res["n_transitions"] == 999
-        # (10**6 + 1)**4 cells do not fit a 64-bit code
-        code, _, err = run(capsys, "analyze", "--data", str(p), "-k", "3")
+        # symbols are ranked, so k = 3 needs 3**4 cells, not (10**6 + 1)**4,
+        # and gives what the series relabelled to {0, 1, 2} gives
+        q = tmp_path / "ranked.csv"
+        q.write_text("output\n" + "\n".join(str(min(v, 2)) for v in values) + "\n")
+        outs = []
+        for path in (p, q):
+            code, out, err = run(capsys, "analyze", "--data", str(path), "-k", "3", "--local")
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
+        # 3**41 cells still do not fit a 64-bit code
+        code, _, err = run(capsys, "analyze", "--data", str(p), "-k", "40")
         assert code == 2
         assert "reduce k" in json.loads(err)["message"]
+
+    def test_symbols_ranked_per_column_group(self, tmp_path, capsys):
+        # outputs and inputs are each numbered by rank among the values
+        # their columns hold; the results are those of the ranked file
+        rng = np.random.default_rng(8)
+        ranked = {"a": rng.integers(0, 3, 400), "b": rng.integers(0, 3, 400), "u": rng.integers(0, 2, 400)}
+        sparse = {"a": np.array([5, 70, 2**40])[ranked["a"]],
+                  "b": np.array([5, 70, 2**40])[ranked["b"]],
+                  "u": np.array([3, 9])[ranked["u"]]}
+        outs = []
+        for name, cols in (("ranked", ranked), ("sparse", sparse)):
+            p = tmp_path / f"{name}.csv"
+            rows = [f"{a},{b},{u}" for a, b, u in zip(cols["a"], cols["b"], cols["u"])]
+            p.write_text("a,b,u\n" + "\n".join(rows) + "\n")
+            code, out, err = run(
+                capsys, "sweep", "--data", str(p), "--cols", "a,b", "--input-col", "u",
+                "--k-range", "1:4", "--format", "json",
+            )
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("input_col", [None, "drive"])

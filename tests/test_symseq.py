@@ -8,6 +8,7 @@ from infostorage import (
     SymbolSeries,
     count_joint,
 )
+from infostorage import symseq
 from infostorage.symseq import decode_history, history_codes
 
 from conftest import naive_count, random_series, step_cells, table_to_dict
@@ -15,6 +16,15 @@ from conftest import naive_count, random_series, step_cells, table_to_dict
 
 def bseries(data):
     return SymbolSeries(BINARY, np.asarray(data))
+
+
+def naive_pooled(xs, us, cfg):
+    """naive_count summed over pooled realisations."""
+    want = {}
+    for x, u in zip(xs, us or [None] * len(xs)):
+        for key, n in naive_count(x, u, cfg).items():
+            want[key] = want.get(key, 0) + n
+    return want
 
 
 class TestAlphabet:
@@ -121,11 +131,7 @@ class TestCountJointEnsemble:
             xs = [random_series(rng, n, nx) for n in lengths]
             us = [random_series(rng, n, nu) for n in lengths] if with_u else None
             t = count_joint(xs, us, cfg)
-            want = {}
-            for x, u in zip(xs, us or [None] * len(xs)):
-                for key, n in naive_count(x, u, cfg).items():
-                    want[key] = want.get(key, 0) + n
-            assert table_to_dict(t) == want
+            assert table_to_dict(t) == naive_pooled(xs, us, cfg)
             # each realisation's steps in turn, all from start_index
             start = cfg.k + (max(0, cfg.input_lag - 1) if with_u else 0)
             assert t.start_index == start
@@ -153,3 +159,71 @@ class TestCountJointEnsemble:
         long, short = random_series(rng, 20, 2), random_series(rng, 3, 2)
         with pytest.raises(ValueError, match="length 3 too short"):
             count_joint([long, short], None, EmbeddingConfig(3))
+
+
+def naive_steps(xs, us, cfg):
+    """Each pooled step's flat cell code, by a direct loop."""
+    k, lag = cfg.k, cfg.input_lag
+    codes = []
+    for x, u in zip(xs, us or [None] * len(xs)):
+        nu = u.alphabet.size if u is not None else 1
+        start = k + (max(0, lag - 1) if u is not None else 0)
+        for m in range(start, len(x)):
+            code = 0
+            for v in x.data[m - k : m + 1].tolist():
+                code = code * x.alphabet.size + v
+            codes.append(code * nu + (int(u.data[m - lag]) if u is not None else 0))
+    return codes
+
+
+class TestCountingPaths:
+    """Cells are ranked by one dense bincount when the cell space
+    |X|^(k+1)·|U| is at most the number of transitions, else by sorting."""
+
+    @staticmethod
+    def draw(rng, offset):
+        """Pooled realisations whose transitions number the cell space plus
+        ``offset``, or None when that leaves fewer than one per realisation."""
+        nx, k, lag = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(0, 4))
+        nu = int(rng.integers(1, 4)) if rng.integers(0, 2) else None
+        space = nx ** (k + 1) * (nu or 1)
+        n, r = space + offset, int(rng.integers(1, 4))
+        if n < r:
+            return None
+        start = k + (max(0, lag - 1) if nu else 0)
+        cuts = np.sort(rng.choice(np.arange(1, n), r - 1, replace=False))
+        lengths = np.diff([0, *cuts, n]) + start
+        xs = [random_series(rng, int(m), nx) for m in lengths]
+        us = [random_series(rng, int(m), nu) for m in lengths] if nu else None
+        return xs, us, EmbeddingConfig(k, lag), space, n
+
+    def test_paths_agree_at_the_threshold(self, rng, monkeypatch):
+        rank = symseq._rank_codes
+        unique = np.unique
+        seen = set()
+        for _ in range(60):
+            for offset in (-1, 0, 1):
+                case = self.draw(rng, offset)
+                if case is None:
+                    continue
+                xs, us, cfg, space, n = case
+                sorts = []
+                with monkeypatch.context() as m:
+                    m.setattr(np, "unique", lambda *a, **kw: sorts.append(1) or unique(*a, **kw))
+                    natural = count_joint(xs, us, cfg)
+                # the dense pass runs exactly when the space fits the data
+                assert bool(sorts) == (space > n)
+                seen.add(space > n)
+                tables = [natural]
+                with monkeypatch.context() as m:
+                    # a space of 0 takes the dense pass, one above N the sort
+                    for forced in (lambda c: 0, lambda c: c.size + 1):
+                        m.setattr(symseq, "_rank_codes", lambda c, s, f=forced: rank(c, f(c)))
+                        tables.append(count_joint(xs, us, cfg))
+                for t in tables:
+                    for name in ("cells", "counts", "transitions"):
+                        assert np.array_equal(getattr(t, name), getattr(natural, name))
+                    assert t.start_index == natural.start_index
+                assert table_to_dict(natural) == naive_pooled(xs, us, cfg)
+                assert natural.cells[natural.transitions].tolist() == naive_steps(xs, us, cfg)
+        assert seen == {False, True}
