@@ -267,8 +267,7 @@ def _series_from_columns(data: dict[str, np.ndarray], names: list[str]) -> list[
     Symbols are numbered by their rank among the values the columns hold,
     so the usable k depends on how many distinct symbols occur, not on the
     largest.  The relabel is monotone, so every result is as for the
-    original symbols; when all of 0..max occur it is the identity and is
-    skipped.
+    original symbols; when all of 0..max occur it is the identity.
     """
     values = np.concatenate([data[c] for c in names])
     lo, hi = int(values.min()), int(values.max())
@@ -276,8 +275,6 @@ def _series_from_columns(data: dict[str, np.ndarray], names: list[str]) -> list[
         raise DataError(f"negative symbol in column(s) {names}")
     symbols, _, ranks = _rank_codes(values, hi + 1)
     alphabet = Alphabet(max(symbols.size, 2))
-    if symbols.size == hi + 1:
-        return [SymbolSeries(alphabet, data[c]) for c in names]
     ends = np.cumsum([data[c].size for c in names[:-1]])
     return [SymbolSeries(alphabet, r) for r in np.split(ranks, ends)]
 

@@ -296,7 +296,8 @@ class TestAnalyze:
         assert json.loads(err)["error"] == "data"
 
     def test_large_symbol_bounded_memory(self, tmp_path, capsys):
-        # one symbol of 10**6: the table holds observed cells only
+        # one symbol of 10**6: ranking relabels it to 2, so the table stays
+        # small; test_symseq.py counts an unranked 10**6-symbol alphabet
         values = [0, 1] * 500
         values[500] = 10**6
         p = tmp_path / "wide.csv"
