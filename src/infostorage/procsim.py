@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import Distribution
-from .symseq import BINARY, Alphabet, SymbolSeries
+from .symseq import BINARY, Alphabet, SymbolSeries, _integer_array
 
 STATE_SPACE_LIMIT = 2**20
 
@@ -80,14 +80,14 @@ def generate_input(spec: ProcessSpec, n: int) -> SymbolSeries:
         raise ValueError("n must be >= 1")
     rng = _rng(spec.seed)
     if spec.kind == "bernoulli":
-        data = (rng.random(n) < spec.p).astype(np.int64)
+        data = (rng.random(n) < spec.p).view(np.uint8)
     else:
-        first = int(rng.integers(0, 2))
-        flips = (rng.random(n - 1) < (1.0 - spec.p_stay)).astype(np.int64)
-        data = np.empty(n, dtype=np.int64)
-        data[0] = first
-        if n > 1:
-            data[1:] = (first + np.cumsum(flips)) % 2
+        # u[t] is the first symbol XOR the flips before t: a running XOR
+        # of one byte per step, where a running sum would need int64.
+        data = np.empty(n, dtype=np.uint8)
+        data[0] = rng.integers(0, 2)
+        data[1:] = rng.random(n - 1) < (1.0 - spec.p_stay)
+        np.bitwise_xor.accumulate(data, out=data)
     return SymbolSeries(BINARY, data)
 
 
@@ -137,8 +137,8 @@ class TableUnit:
 
 
 def _table(name: str, values) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 2 or not np.issubdtype(arr.dtype, np.integer):
+    arr = _integer_array(f"{name} table", values)
+    if arr.ndim != 2:
         raise ValueError(f"{name} table must be a 2-D integer array")
     arr = arr.astype(np.int64)
     arr.setflags(write=False)

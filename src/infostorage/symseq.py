@@ -30,25 +30,52 @@ class Alphabet:
 BINARY = Alphabet(2)
 
 
+def _integer_array(name: str, values) -> np.ndarray:
+    """``values`` as an array, or a ValueError unless its dtype is integer
+    or bool: a float or a string is never read as a symbol."""
+    arr = np.asarray(values)
+    if not (arr.dtype == np.bool_ or np.issubdtype(arr.dtype, np.integer)):
+        raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+    return arr
+
+
+def _symbol_dtype(size: int) -> np.dtype:
+    """The narrowest dtype that holds the symbols 0..size-1: uint8, uint16
+    or uint32, and int64 for wider alphabets, because int64 code
+    arithmetic does not mix with uint64."""
+    dtype = np.min_scalar_type(size - 1)
+    return dtype if dtype.itemsize <= 4 else np.dtype(np.int64)
+
+
 @dataclass(frozen=True)
 class SymbolSeries:
-    """A finite sequence of small-integer symbols over a declared alphabet."""
+    """A finite sequence of small-integer symbols over a declared alphabet.
+
+    The symbols must be integers or bools.  ``data`` is a read-only copy
+    of them in the narrowest dtype for the alphabet: uint8 up to 2^8
+    symbols, uint16 up to 2^16, uint32 up to 2^32 and int64 beyond, so a
+    binary symbol takes one byte and the series never shares memory with
+    the caller's array.  The narrow dtypes wrap on overflow: arithmetic
+    that combines symbols, such as a history code, accumulates into int64.
+    """
 
     alphabet: Alphabet
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.int64, ndmin=1)
+        arr = np.atleast_1d(_integer_array("series data", self.data))
         if arr.ndim != 1:
             raise ValueError("series data must be one-dimensional")
         if arr.size < 1:
             raise ValueError("series must contain at least one symbol")
         lo, hi = int(arr.min()), int(arr.max())
-        if lo < 0 or hi >= self.alphabet.size:
+        dtype = _symbol_dtype(self.alphabet.size)
+        if lo < 0 or hi >= self.alphabet.size or hi > np.iinfo(dtype).max:
             raise ValueError(
                 f"symbol out of range: saw values in [{lo}, {hi}] for "
                 f"alphabet of size {self.alphabet.size}"
             )
+        arr = arr.astype(dtype)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -127,6 +154,10 @@ class JointCountTable:
     most the number of transitions N, and by sorting the cell codes
     otherwise; both give the same arrays, and memory is O(N + observed
     cells) either way, whatever the alphabet sizes.
+
+    ``cells`` and ``counts`` are held as int64, and ``transitions`` as
+    int32 whenever there are fewer than 2^31 cells (else int64), so each
+    step's index takes four bytes.  All three are read-only.
     """
 
     k: int
@@ -139,9 +170,16 @@ class JointCountTable:
 
     def __post_init__(self):
         for name in ("cells", "counts", "transitions"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.int64).view()
+            arr = np.asarray(getattr(self, name))
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be one-dimensional")
+            dtype = np.int64
+            if name == "transitions":
+                # Checked before the cast, which would wrap a wider index.
+                if arr.size and (arr.min() < 0 or arr.max() >= self.cells.size):
+                    raise ValueError("transitions must index cells")
+                dtype = _index_dtype(self.cells.size)
+            arr = np.ascontiguousarray(arr, dtype=dtype).view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.cells.shape != self.counts.shape:
@@ -241,9 +279,14 @@ def _flat_codes(xs, us, cfg: EmbeddingConfig, start: int) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _index_dtype(n_cells: int) -> np.dtype:
+    """int32 when it indexes ``n_cells`` cells, else int64."""
+    return np.dtype(np.int32 if n_cells < 2**31 else np.int64)
+
+
 def _rank_codes(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sorted distinct values of ``codes``, how often each occurs, and the
-    index of each code among them.
+    index of each code among them, as ``_index_dtype`` gives.
 
     ``codes`` lie in ``[0, space)``.  When the space is no larger than the
     number of codes, one dense ``bincount`` over it ranks them in O(N);
@@ -253,9 +296,12 @@ def _rank_codes(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray, 
     if space <= codes.size:
         dense = np.bincount(codes, minlength=space)
         distinct = np.flatnonzero(dense)
-        return distinct, dense[distinct], (np.cumsum(dense > 0) - 1)[codes]
+        # The rank table is at most N long; gathering from it in the index
+        # dtype makes no N-sized int64 array.
+        rank = np.cumsum(dense > 0, dtype=_index_dtype(distinct.size)) - 1
+        return distinct, dense[distinct], rank[codes]
     # Searching the sorted cells gives np.unique's inverse without its
     # argsort and gathers, which hold about six N-sized arrays at once.
     distinct = np.unique(codes)
-    index = np.searchsorted(distinct, codes)
+    index = np.searchsorted(distinct, codes).astype(_index_dtype(distinct.size))
     return distinct, np.bincount(index, minlength=distinct.size), index

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -111,6 +112,26 @@ class TestGenerate:
             writer.writerow(["input", "output"])
             writer.writerows(zip(u.data.tolist(), x.data.tolist()))
         assert p.read_bytes() == ref.getvalue().encode()
+
+    def test_seeded_file_is_pinned(self, tmp_path, capsys):
+        # the bytes this command wrote while symbols were held as int64
+        p = gen_file(tmp_path, capsys, "markov:p_stay=0.7", "xor", 10_000, seed=7)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+            "a1d4b7dd4f67826ffee3362c640c572b8b04f524e15e6d7ce7ecb1d43201a5d9"
+        )
+
+    def test_uint8_columns_at_the_top_symbol(self):
+        # symbols up to 255 in uint8: each row's code is accumulated in
+        # int64, so 255 * 256 + 255 does not wrap
+        rng = np.random.default_rng(255)
+        n = _ROWS_PER_WRITE + 3
+        cols = [np.r_[255, 255, 0, rng.integers(0, 256, n - 3)].astype(np.uint8) for _ in range(2)]
+        out = io.StringIO()
+        cli._write_csv_rows(out, cols, [256, 256])
+        ref = io.StringIO()
+        csv.writer(ref, lineterminator="\n").writerows(zip(*(c.tolist() for c in cols)))
+        assert out.getvalue() == ref.getvalue()
+        assert out.getvalue().startswith("255,255\n255,255\n0,0\n")
 
 
 class TestSpecParsing:

@@ -7,6 +7,7 @@ from infostorage import (
     Alphabet,
     Distribution,
     EmbeddingConfig,
+    JointCountTable,
     ProcessSpec,
     SymbolSeries,
     TableUnit,
@@ -27,6 +28,7 @@ from infostorage import (
     plugin_distribution,
     simulate_unit,
 )
+from infostorage import symseq
 from infostorage.infodyn import local_profile
 
 from conftest import random_series, step_cells
@@ -491,3 +493,58 @@ class TestHeldOutLocals:
         d = Distribution((BINARY,) * 3, probs / probs.sum())
         with pytest.raises(ValueError, match="zero probability"):
             local_ais(t, d)
+
+
+class TestStepIndexDtype:
+    """Each step's index into the table's cells is int32 below 2^31 cells;
+    local values read through it are those int64 indices give."""
+
+    @staticmethod
+    def cases(rng):
+        # dense path: a cell space of 2^4 * 2 under 3000 steps
+        yield "dense", random_series(rng, 3000, 2), random_series(rng, 3000, 2), EmbeddingConfig(3)
+        # sort path: a cell space of 50^3 * 3 over 398 steps
+        yield "sort", random_series(rng, 400, 50), random_series(rng, 400, 3), EmbeddingConfig(2)
+        lengths = (300, 120, 500)
+        yield (
+            "pooled",
+            [random_series(rng, n, 3) for n in lengths],
+            [random_series(rng, n, 2) for n in lengths],
+            EmbeddingConfig(2, 2),
+        )
+
+    def test_profiles_match_int64_indices(self, rng, monkeypatch):
+        for name, x, u, cfg in self.cases(rng):
+            narrow = count_joint(x, u, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(symseq, "_index_dtype", lambda n_cells: np.dtype(np.int64))
+                wide = count_joint(x, u, cfg)
+            assert (narrow.transitions.dtype, wide.transitions.dtype) == (np.int32, np.int64), name
+            assert np.array_equal(narrow.transitions, wide.transitions)
+            d = random_distribution(rng, narrow.alphabet_x.size, narrow.n_inputs, cfg.k)
+            for m in MEASURES:
+                for dist in (None, d):  # plug-in, then held out
+                    got = local_profile(m, narrow, dist).values
+                    assert got.tobytes() == local_profile(m, wide, dist).values.tobytes(), (name, m)
+
+    def test_table_built_with_int64_transitions(self, rng):
+        x, u = random_series(rng, 500, 3), random_series(rng, 500, 2)
+        t = count_joint(x, u, EmbeddingConfig(2))
+        direct = JointCountTable(
+            t.k, t.alphabet_x, t.alphabet_u, t.cells, t.counts,
+            t.transitions.astype(np.int64), t.start_index,
+        )
+        assert direct.transitions.dtype == np.int32
+        for want, got in zip(evaluate(MEASURES, t, local=True), evaluate(MEASURES, direct, local=True)):
+            assert got.average_bits == want.average_bits
+            assert got.local.values.tobytes() == want.local.values.tobytes()
+
+    def test_index_dtype_rule(self):
+        assert symseq._index_dtype(2**31 - 1) == np.int32
+        assert symseq._index_dtype(2**31) == np.int64
+
+    @pytest.mark.parametrize("bad", [[0, 3], [-1, 0], [2**32]])
+    def test_transitions_must_index_cells(self, bad):
+        # checked before the cast to int32, which would wrap 2^32 to 0
+        with pytest.raises(ValueError, match="index cells"):
+            JointCountTable(1, BINARY, None, [0, 1, 2], [1, 1, 1], np.array(bad, dtype=np.int64))

@@ -96,6 +96,26 @@ class TestGenerateInput:
         with pytest.raises(ValueError):
             generate_input(ProcessSpec("bernoulli", p=0.5), 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 10**5])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+    def test_seeded_series_match_the_int64_draws(self, n, seed):
+        # The series drawn before symbols were held as uint8, written out
+        # in int64: the same Philox stream must give the same symbols.
+        for p_stay in (0.3, 0.7, 0.999):
+            rng = np.random.Generator(np.random.Philox(seed))
+            first = int(rng.integers(0, 2))
+            flips = (rng.random(n - 1) < (1.0 - p_stay)).astype(np.int64)
+            want = np.r_[first, (first + np.cumsum(flips)) % 2]
+            got = generate_input(ProcessSpec("markov_binary", p_stay=p_stay, seed=seed), n)
+            assert got.data.dtype == np.uint8
+            assert np.array_equal(got.data, want)
+        for p in (0.0, 0.3, 0.5, 1.0):
+            rng = np.random.Generator(np.random.Philox(seed))
+            want = (rng.random(n) < p).astype(np.int64)
+            got = generate_input(ProcessSpec("bernoulli", p=p, seed=seed), n)
+            assert got.data.dtype == np.uint8
+            assert np.array_equal(got.data, want)
+
 
 class TestSimulateUnit:
     def test_forwarding(self):
@@ -136,6 +156,17 @@ class TestSimulateUnit:
             u = SymbolSeries(unit.input_alphabet, rng.integers(0, unit.input_alphabet.size, n))
             assert simulate_unit(unit, u).data.tolist() == step_loop(unit, u.data)
 
+    def test_wide_output_alphabet_does_not_wrap(self):
+        # 300 outputs are held as uint16; the kernel's cell arithmetic
+        # stays int64 throughout
+        rng = np.random.default_rng(300)
+        unit = random_table_unit(rng, 5, 2, 300)
+        u = SymbolSeries(BINARY, rng.integers(0, 2, 5000))
+        x = simulate_unit(unit, u)
+        assert x.data.dtype == np.uint16
+        assert x.data.tolist() == step_loop(unit, u.data)
+        assert x.data.max() > 255
+
     def test_one_state_units(self):
         u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=5), 1001)
         assert np.array_equal(simulate_unit(UnitSpec("forwarding"), u).data, u.data)
@@ -172,6 +203,12 @@ class TestTableUnitValidation:
             tables = {"next_state": [[0, 0]], "output": [[0, 1]], table: bad}
             with pytest.raises(ValueError, match=table):
                 TableUnit(**tables, n_outputs=2)
+
+    @pytest.mark.parametrize("table", ["next_state", "output"])
+    def test_strings_rejected(self, table):
+        tables = {"next_state": [[0, 0]], "output": [[0, 1]], table: [["0", "1"]]}
+        with pytest.raises(ValueError, match=table):
+            TableUnit(**tables, n_outputs=2)
 
     def test_shapes_must_match(self):
         with pytest.raises(ValueError, match="shape"):

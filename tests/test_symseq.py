@@ -39,6 +39,9 @@ class TestSymbolSeries:
             SymbolSeries(BINARY, np.array([0, 1, 2]))
         with pytest.raises(ValueError):
             SymbolSeries(BINARY, np.array([-1, 0]))
+        # in range of the alphabet, but not of the int64 its series is held in
+        with pytest.raises(ValueError):
+            SymbolSeries(Alphabet(2**64), np.array([0, 2**63], dtype=np.uint64))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -48,6 +51,48 @@ class TestSymbolSeries:
         s = bseries([0, 1])
         with pytest.raises(ValueError):
             s.data[0] = 1
+
+    @pytest.mark.parametrize(
+        "values", [[0.7, 1.9], np.array([0.0, 1.0]), ["1", "0"], np.array([0, 1], dtype=object)]
+    )
+    def test_rejects_non_integer_dtypes(self, values):
+        # a float is not truncated and a string is not parsed into a symbol
+        with pytest.raises(ValueError, match="integers"):
+            SymbolSeries(BINARY, values)
+
+    def test_accepts_bool(self):
+        assert bseries([True, False, True]).data.tolist() == [1, 0, 1]
+
+
+class TestSymbolDtype:
+    """A series holds its symbols in the narrowest dtype for its alphabet."""
+
+    @pytest.mark.parametrize(
+        "size, dtype",
+        [(2, np.uint8), (256, np.uint8), (257, np.uint16), (65_536, np.uint16),
+         (65_537, np.uint32), (2**20, np.uint32)],
+    )
+    def test_narrowest_dtype(self, size, dtype):
+        s = SymbolSeries(Alphabet(size), np.array([0, size - 1]))
+        assert s.data.dtype == dtype
+        assert s.data.tolist() == [0, size - 1]
+
+    def test_beyond_uint32_is_int64(self):
+        assert symseq._symbol_dtype(2**32) == np.uint32
+        assert symseq._symbol_dtype(2**32 + 1) == np.int64
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int8, np.bool_])
+    def test_read_only_copy_of_the_callers_array(self, dtype):
+        given = np.array([0, 1, 1, 0], dtype=dtype)
+        s = SymbolSeries(BINARY, given)
+        assert not s.data.flags.writeable and s.data.flags.c_contiguous
+        given[0] = 1
+        assert s.data.tolist() == [0, 1, 1, 0]
+        assert not np.shares_memory(s.data, given)
+
+    def test_strided_input_is_copied_contiguous(self):
+        s = bseries(np.arange(10)[::3] % 2)
+        assert s.data.flags.c_contiguous and s.data.tolist() == [0, 1, 0, 1]
 
 
 class TestHistoryCodes:
@@ -114,6 +159,20 @@ class TestCountJoint:
         t = count_joint(x, None, EmbeddingConfig(1))
         assert t.cells.size == t.counts.size == 3
         assert table_to_dict(t) == {((0,), 10**6, 0): 2, ((10**6,), 0, 0): 1, ((10**6,), 5, 0): 1}
+
+    def test_uint8_and_uint16_symbols_do_not_wrap(self, rng):
+        # x at the top of uint8 (256 symbols), u in uint16 (300 symbols):
+        # every code is accumulated in int64, so none wraps
+        x = SymbolSeries(Alphabet(256), np.r_[255, 255, 255, 255, 0, rng.integers(0, 256, 300)])
+        u = SymbolSeries(Alphabet(300), np.r_[299, 299, 299, 299, 0, rng.integers(0, 300, 300)])
+        assert (x.data.dtype, u.data.dtype) == (np.uint8, np.uint16)
+        for lag in (0, 1):
+            cfg = EmbeddingConfig(3, lag)
+            t = count_joint(x, u, cfg)
+            assert table_to_dict(t) == naive_count(x, u, cfg)
+            assert t.cells[t.transitions].tolist() == naive_steps([x], [u], cfg)
+        # the all-top cell, far above what uint8 or uint16 hold
+        assert t.cells.max() == (256**4 - 1) * 300 + 299
 
     def test_code_overflow_rejected(self):
         x = SymbolSeries(Alphabet(2**20), np.arange(10))
