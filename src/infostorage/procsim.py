@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import Distribution
-from .symseq import BINARY, Alphabet, SymbolSeries, _integer_array
+from .symseq import BINARY, Alphabet, SymbolSeries, _integer_array, _symbol_dtype
 
 STATE_SPACE_LIMIT = 2**20
 
@@ -179,10 +179,14 @@ def simulate_unit(unit: TableUnit | UnitSpec, input_series: SymbolSeries) -> Sym
     n = len(input_series)
     width = math.isqrt(n)
     n_blocks = -(-n // width)
-    # steps[t, b]: input at step t of block b (the last block is padded)
-    steps = np.zeros(n_blocks * width, dtype=np.int64)
-    steps[:n] = input_series.data
-    steps = np.ascontiguousarray(steps.reshape(n_blocks, width).T)
+    # steps[t, b]: input at step t of block b (the last block is padded).
+    # The padding is done in the input's own dtype; steps is the only
+    # int64 buffer.
+    padded = np.zeros(n_blocks * width, dtype=input_series.data.dtype)
+    padded[:n] = input_series.data
+    steps = np.empty((width, n_blocks), dtype=np.int64)
+    steps[...] = padded.reshape(n_blocks, width).T
+    del padded
     # flat table index of (state, input) is state * n_inputs + input
     next_state = unit.next_state.ravel()
     output = unit.output.ravel()
@@ -201,7 +205,9 @@ def simulate_unit(unit: TableUnit | UnitSpec, input_series: SymbolSeries) -> Sym
         cell = state * n_inputs + u
         u[:] = output[cell]
         state = next_state[cell]
-    return SymbolSeries(unit.output_alphabet, steps.T.ravel()[:n])
+    outputs = np.empty((n_blocks, width), dtype=_symbol_dtype(unit.output_alphabet.size))
+    outputs[...] = steps.T
+    return SymbolSeries(unit.output_alphabet, outputs.ravel()[:n])
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,13 @@ from typing import Sequence
 
 import numpy as np
 
-# Flat cell codes are int64, so |X|**k * |X| * |U| must stay below this.
+# A flat cell code is held in the narrowest dtype of the cell space
+# |X|**k * |X| * |U|, and in int64 beyond 2^32 cells, so the space must
+# stay below this.
 _CODE_LIMIT = 2**63
+
+# Codes counted per bincount call on the dense pass (see _rank_codes).
+_COUNT_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,8 @@ class SymbolSeries:
     symbols, uint16 up to 2^16, uint32 up to 2^32 and int64 beyond, so a
     binary symbol takes one byte and the series never shares memory with
     the caller's array.  The narrow dtypes wrap on overflow: arithmetic
-    that combines symbols, such as a history code, accumulates into int64.
+    that combines symbols, such as a cell code, accumulates into a dtype
+    that holds every combination.
     """
 
     alphabet: Alphabet
@@ -113,21 +119,9 @@ def _check_length(n: int, cfg: EmbeddingConfig) -> int:
     return start
 
 
-def history_codes(x: np.ndarray, k: int, base: int) -> np.ndarray:
-    """Radix-encode every length-k window of x; codes[i] encodes x[i:i+k].
-
-    The oldest symbol is the most significant digit.
-    """
-    m = x.size - k + 1
-    codes = np.zeros(m, dtype=np.int64)
-    for j in range(k):
-        codes *= base
-        codes += x[j : j + m]
-    return codes
-
-
 def decode_history(code: int, k: int, base: int) -> tuple[int, ...]:
-    """Inverse of history_codes for a single code."""
+    """The k symbols, oldest first, of a history's radix code in ``base``:
+    the oldest symbol is the most significant digit."""
     out = []
     for _ in range(k):
         out.append(code % base)
@@ -141,12 +135,13 @@ class JointCountTable:
     statistic.
 
     A cell's flat code is ``(h * |X| + x) * |U| + u``, h being the radix
-    code of the history (see ``history_codes``) and |U| being 1 when
-    counting without an input.  ``cells`` holds the sorted codes of the
-    cells seen at least once, ``counts[i]`` how often cell ``cells[i]``
-    was seen, and ``transitions[t]`` the index into ``cells`` of the
-    transition whose `next` symbol sits at series index
-    ``start_index + t``, so local measures stay aligned to the series.
+    code of the history with its oldest symbol most significant (see
+    ``decode_history``) and |U| being 1 when counting without an input.
+    ``cells`` holds the sorted codes of the cells seen at least once,
+    ``counts[i]`` how often cell ``cells[i]`` was seen, and
+    ``transitions[t]`` the index into ``cells`` of the transition whose
+    `next` symbol sits at series index ``start_index + t``, so local
+    measures stay aligned to the series.
     A table pooled over several realisations lists their transitions one
     realisation after another, each realisation's from its own index
     ``start_index`` on.  ``count_joint`` builds it by one dense
@@ -214,11 +209,14 @@ def count_joint(
     first L-1 transitions are dropped, so each realisation of length N
     contributes N - k - max(0, L-1) transitions.
 
-    When the cell space |X|^(k+1)·|U| is at most the number of pooled
+    Each step's cell code is built in the narrowest dtype that holds the
+    cell space |X|^(k+1)·|U|: uint8, uint16 or uint32, and int64 beyond
+    2^32 cells.  When that space is at most the number of pooled
     transitions, the cells are counted and ranked in one dense ``bincount``
-    pass over that space, O(N) time; a wider space is sorted instead,
-    O(N log N).  Either way the arrays held are at most N long besides the
-    observed cells, so memory is O(N + observed cells).
+    pass over it, O(N) time, with codes of at most four bytes; a wider
+    space is sorted instead, O(N log N).  Either way the arrays held are at
+    most N long besides the observed cells, so memory is O(N + observed
+    cells).
     """
     xs = [x] if isinstance(x, SymbolSeries) else list(x)
     us = [None] * len(xs) if u is None else [u] if isinstance(u, SymbolSeries) else list(u)
@@ -251,7 +249,11 @@ def count_joint(
             f"cell space |X|^k * |X| * |U| = {nx}^{k} * {nx} * {nu} does not "
             "fit a 64-bit code; reduce k"
         )
-    flat = _flat_codes(xs, us, cfg, start)
+    # Every code lies below the space.  The multipliers |X| and |U| must fit
+    # the dtype too, as numpy does not scale a narrow array by a Python int
+    # it cannot hold; only |X| = 1 lets |U| reach the space.
+    dtype = _symbol_dtype(max(space, nx + 1, nu + 1))
+    flat = _flat_codes(xs, us, cfg, start, dtype)
     cells, counts, transitions = _rank_codes(flat, space)
     return JointCountTable(
         k=k,
@@ -264,19 +266,25 @@ def count_joint(
     )
 
 
-def _flat_codes(xs, us, cfg: EmbeddingConfig, start: int) -> np.ndarray:
-    """Flat cell codes of each realisation's transitions in turn, each
-    realisation's from the `next` symbol at index ``start`` on."""
-    parts = []
-    for x, u in zip(xs, us):
-        # A length-(k+1) window codes (history, next) as h * |X| + x.
-        flat = history_codes(x.data, cfg.k + 1, x.alphabet.size)[start - cfg.k :]
+def _flat_codes(xs, us, cfg: EmbeddingConfig, start: int, dtype: np.dtype) -> np.ndarray:
+    """Flat cell codes, in ``dtype``, of each realisation's transitions in
+    turn, each realisation's from the `next` symbol at index ``start`` on."""
+    k, lag = cfg.k, cfg.input_lag
+    ends = np.cumsum([len(x) - start for x in xs]).tolist()
+    codes = np.empty(ends[-1], dtype=dtype)
+    for x, u, end in zip(xs, us, ends):
+        m = len(x) - start
+        part = codes[end - m : end]
+        # Horner over the window x[t-k..t], oldest symbol first, gives the
+        # (history, next) code h * |X| + x of the step whose next is x[t].
+        part[...] = x.data[start - k : start - k + m]
+        for j in range(1, k + 1):
+            part *= x.alphabet.size
+            part += x.data[start - k + j : start - k + j + m]
         if u is not None:
-            flat *= u.alphabet.size
-            flat += u.data[start - cfg.input_lag : len(u) - cfg.input_lag]
-        parts.append(flat)
-    # One series is counted in place; only an ensemble is joined.
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            part *= u.alphabet.size
+            part += u.data[start - lag : len(u) - lag]
+    return codes
 
 
 def _index_dtype(n_cells: int) -> np.dtype:
@@ -288,13 +296,21 @@ def _rank_codes(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray, 
     """Sorted distinct values of ``codes``, how often each occurs, and the
     index of each code among them, as ``_index_dtype`` gives.
 
-    ``codes`` lie in ``[0, space)``.  When the space is no larger than the
-    number of codes, one dense ``bincount`` over it ranks them in O(N);
-    otherwise they are sorted, in O(N log N).  Memory is O(N + distinct
-    codes) either way.
+    ``codes`` lie in ``[0, space)``, in any integer dtype that holds them,
+    such as the narrowest one of the space.  When the space is no larger
+    than the number of codes, one dense ``bincount`` over it ranks them in
+    O(N); otherwise they are sorted, in O(N log N).  Memory is O(N +
+    distinct codes) either way.
     """
     if space <= codes.size:
-        dense = np.bincount(codes, minlength=space)
+        # bincount casts its input to intp.  Counted a chunk at a time, the
+        # cast stays in cache instead of taking 8 bytes per code; a chunk
+        # holds at least `space` codes, so adding up the per-chunk counts
+        # costs at most one more pass over N.
+        step = max(space, _COUNT_CHUNK)
+        dense = np.bincount(codes[:step], minlength=space)
+        for i in range(step, codes.size, step):
+            dense += np.bincount(codes[i : i + step], minlength=space)
         distinct = np.flatnonzero(dense)
         # The rank table is at most N long; gathering from it in the index
         # dtype makes no N-sized int64 array.

@@ -35,7 +35,15 @@ def test_generate_input_budget(spec):
 
 
 def test_count_joint_budget():
-    # measured 12.0: the int64 cell codes and the int32 step indices
+    # measured 5.1: the uint8 cell codes (64 cells at k = 4 with an input)
+    # and the int32 step indices
     u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
     x = simulate_unit(UnitSpec("xor_memory"), u)
-    assert peak_bytes_per_step(count_joint, x, u, EmbeddingConfig(4)) < 15
+    assert peak_bytes_per_step(count_joint, x, u, EmbeddingConfig(4)) < 6.4
+
+
+def test_simulate_unit_budget():
+    # measured 10.0: the int64 step buffer, the uint8 input padded for it,
+    # and the uint8 outputs with the series' copy of them
+    u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
+    assert peak_bytes_per_step(simulate_unit, UnitSpec("xor_memory"), u) < 12.5

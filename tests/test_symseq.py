@@ -9,7 +9,7 @@ from infostorage import (
     count_joint,
 )
 from infostorage import symseq
-from infostorage.symseq import decode_history, history_codes
+from infostorage.symseq import decode_history
 
 from conftest import naive_count, random_series, step_cells, table_to_dict
 
@@ -97,10 +97,14 @@ class TestSymbolDtype:
 
 class TestHistoryCodes:
     def test_roundtrip(self, rng):
-        x = rng.integers(0, 3, 30)
-        codes = history_codes(x, 2, 3)
-        for i, c in enumerate(codes):
-            assert decode_history(int(c), 2, 3) == tuple(x[i : i + 2])
+        # without an input a step's cell code is its length-(k+1) window
+        # x[t-k..t] in radix |X|, which decode_history reads back
+        x = random_series(rng, 30, 3)
+        t = count_joint(x, None, EmbeddingConfig(2))
+        codes = t.cells[t.transitions]
+        assert codes.size == 28
+        for i, c in enumerate(codes.tolist()):
+            assert decode_history(c, 3, 3) == tuple(x.data[i : i + 3].tolist())
 
 
 class TestCountJoint:
@@ -286,3 +290,62 @@ class TestCountingPaths:
                 assert table_to_dict(natural) == naive_pooled(xs, us, cfg)
                 assert natural.cells[natural.transitions].tolist() == naive_steps(xs, us, cfg)
         assert seen == {False, True}
+
+
+class TestCodeDtypeEdges:
+    """Each step's cell code is built in the narrowest dtype that holds the
+    cell space |X|^(k+1)·|U| and the multipliers |X| and |U|; the tables
+    are exact at every edge of uint8, uint16 and uint32."""
+
+    @staticmethod
+    def check(xs, us, cfg, code_dtype):
+        rank = symseq._rank_codes
+        seen = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(symseq, "_rank_codes", lambda c, s: seen.append(c.dtype) or rank(c, s))
+            t = count_joint(xs, us, cfg)
+        assert seen == [code_dtype]
+        assert table_to_dict(t) == naive_pooled(xs, us, cfg)
+        assert t.cells[t.transitions].tolist() == naive_steps(xs, us, cfg)
+        assert t.cells.dtype == t.counts.dtype == np.int64
+        assert t.transitions.dtype == symseq._index_dtype(t.cells.size) == np.int32
+        return t
+
+    @pytest.mark.parametrize(
+        "k, nu, code_dtype",
+        [(7, 1, np.uint8), (7, 2, np.uint16), (15, 1, np.uint16), (15, 2, np.uint32),
+         (31, 1, np.uint32), (31, 2, np.int64)],
+    )
+    def test_binary_spaces_at_the_edges(self, rng, k, nu, code_dtype):
+        # spaces 2^8, 2^9, 2^16, 2^17, 2^32 and 2^33; 600 steps count 2^8
+        # and 2^9 densely and sort the wider ones.  A leading run of ones
+        # reaches the top cell, space - 1.
+        n = 600 if k == 7 else 300
+        top = np.ones(k + 1, dtype=int)
+        x = bseries(np.r_[top, rng.integers(0, 2, n)])
+        u = SymbolSeries(Alphabet(nu), np.r_[top, rng.integers(0, 2, n)] % nu) if nu > 1 else None
+        t = self.check([x], None if u is None else [u], EmbeddingConfig(k), code_dtype)
+        assert t.cells.max() == 2 ** (k + 1) * nu - 1
+
+    @pytest.mark.parametrize("k, code_dtype", [(1, np.uint8), (4, np.uint16)])
+    def test_alphabets_not_powers_of_two(self, rng, k, code_dtype):
+        # |X| = 3 with |U| = 5: spaces 45 and 1215, both counted densely
+        x, u = random_series(rng, 2000, 3), random_series(rng, 2000, 5)
+        self.check([x], [u], EmbeddingConfig(k, 1), code_dtype)
+
+    @pytest.mark.parametrize("nu, n, code_dtype", [(256, 600, np.uint16), (65_536, 300, np.uint32)])
+    def test_one_symbol_x_with_a_wide_input(self, rng, nu, n, code_dtype):
+        # the space is |U| itself, and the multiplier |U| does not fit the
+        # space's own dtype, so the codes take the next one
+        x = SymbolSeries(Alphabet(1), np.zeros(n, dtype=int))
+        u = SymbolSeries(Alphabet(nu), np.r_[rng.integers(0, nu, n - 1), nu - 1])
+        t = self.check([x], [u], EmbeddingConfig(1), code_dtype)
+        assert t.cells.max() == nu - 1
+
+    @pytest.mark.parametrize("k, code_dtype", [(7, np.uint16), (15, np.uint32)])
+    def test_pooled_ensemble_with_lag(self, rng, k, code_dtype):
+        # three realisations with input_lag 3: 2^9 cells counted densely
+        # over about 900 steps, 2^17 sorted
+        xs = [random_series(rng, n, 2) for n in (300, 250, 400)]
+        us = [random_series(rng, n, 2) for n in (300, 250, 400)]
+        self.check(xs, us, EmbeddingConfig(k, 3), code_dtype)
