@@ -291,6 +291,17 @@ class TestCountingPaths:
                 assert natural.cells[natural.transitions].tolist() == naive_steps(xs, us, cfg)
         assert seen == {False, True}
 
+    @pytest.mark.parametrize("chunk", [1, 100])
+    def test_dense_pass_counts_in_chunks(self, rng, monkeypatch, chunk):
+        # 997 steps over 48 cells: a chunk holds at least the 48 cells, so
+        # the chunk of 1 counts 48 codes at a time; neither divides 997
+        x, u = random_series(rng, 1000, 2), random_series(rng, 1000, 3)
+        cfg = EmbeddingConfig(3, 1)
+        monkeypatch.setattr(symseq, "_COUNT_CHUNK", chunk)
+        t = count_joint(x, u, cfg)
+        assert table_to_dict(t) == naive_count(x, u, cfg)
+        assert t.cells[t.transitions].tolist() == naive_steps([x], [u], cfg)
+
 
 class TestCodeDtypeEdges:
     """Each step's cell code is built in the narrowest dtype that holds the
