@@ -14,13 +14,7 @@ from .symseq import (
     SymbolSeries,
     count_joint,
 )
-from .estimators import (
-    Distribution,
-    conditional_mutual_information,
-    entropy,
-    mutual_information,
-    plugin_distribution,
-)
+from .estimators import Distribution, plugin_distribution
 from .infodyn import (
     LocalProfile,
     MeasureResult,
@@ -69,9 +63,7 @@ __all__ = [
     "ais",
     "build_joint_chain",
     "compute",
-    "conditional_mutual_information",
     "count_joint",
-    "entropy",
     "evaluate",
     "exact_joint",
     "generate_input",
@@ -81,7 +73,6 @@ __all__ = [
     "local_icais",
     "local_interaction",
     "make_unit",
-    "mutual_information",
     "oracle_joint",
     "plugin_distribution",
     "simulate_unit",

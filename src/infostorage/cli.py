@@ -113,13 +113,14 @@ def _measures(name: str, has_input: bool) -> list[str]:
     return names
 
 
-def _history_lengths(args) -> list[int]:
-    """The history lengths ``-k`` or ``--k-range`` names, in order."""
+def _history_lengths(args) -> range:
+    """The history lengths ``-k`` or ``--k-range`` names, in order, as a
+    range: its size does not grow with the upper bound."""
     text = getattr(args, "k_range", None)
     if text is None:
         if args.k < 1:
             raise UsageError("-k must be >= 1")
-        return [args.k]
+        return range(args.k, args.k + 1)
     lo, sep, hi = text.partition(":")
     try:
         lo_i, hi_i = int(lo), int(hi if sep else lo)
@@ -127,7 +128,7 @@ def _history_lengths(args) -> list[int]:
         raise UsageError(f"bad k range {text!r}; expected <lo>:<hi>")
     if lo_i < 1 or hi_i < lo_i:
         raise UsageError(f"bad k range {text!r}; bounds must be positive and ordered")
-    return list(range(lo_i, hi_i + 1))
+    return range(lo_i, hi_i + 1)
 
 
 # --process kind -> (ProcessSpec kind, its parameter, the parameter's range)
@@ -376,7 +377,7 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _analysis_plan(args) -> tuple[list[str], list[str], list[str], list[int]]:
+def _analysis_plan(args) -> tuple[list[str], list[str], list[str], range]:
     """Output columns, input columns, measures and history lengths the
     arguments name.
 

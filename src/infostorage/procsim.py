@@ -250,12 +250,17 @@ def build_joint_chain(proc: ProcessSpec, unit: TableUnit | UnitSpec, k: int) -> 
     nu = unit.input_alphabet.size
     nx = unit.output_alphabet.size
     ns = unit.n_states
-    nh = nx**k
+    # With |X| >= 2, |X|^cap alone exceeds the limit, so a larger k is
+    # refused without building its power; with |X| = 1 the history space
+    # stays 1 at any k.
+    cap = STATE_SPACE_LIMIT.bit_length()
+    nh = nx ** min(k, cap)
     n_states = nu * ns * nh
     if n_states > STATE_SPACE_LIMIT:
         raise ValueError(
-            f"composite state space of {n_states} states exceeds the "
-            f"limit {STATE_SPACE_LIMIT}; reduce k"
+            f"composite state space |U| * S * |X|^k = {nu} * {ns} * {nx}^{k}"
+            + (f" = {n_states}" if k <= cap else "")
+            + f" states exceeds the limit {STATE_SPACE_LIMIT}; reduce k"
         )
     pu = proc.transition_matrix()
     if pu.shape != (nu, nu):

@@ -602,6 +602,20 @@ class TestSweep:
         assert msg["error"] == "data"
         assert "2^70" in msg["message"] and "reduce k" in msg["message"]
 
+    def test_k_range_bound_far_beyond_the_data_is_too_short(self, tmp_path, capsys):
+        # the range is never expanded, so its upper bound costs no memory
+        # and the refusal names the series, not the size of k
+        p = gen_file(tmp_path, capsys, "bernoulli:p=0.5", "xor", 200)
+        code, out, err = run(
+            capsys, "sweep", "--data", str(p), "--input-col", "input",
+            "--k-range", "1:1000000000000",
+        )
+        assert code == 2
+        assert out == ""
+        msg = json.loads(err)
+        assert msg["error"] == "data"
+        assert "series of length 200 too short" in msg["message"]
+
 
 class TestOracle:
     def test_forwarding_u1_ais_zero(self, capsys):
@@ -714,6 +728,27 @@ class TestOracle:
         msg = json.loads(err)
         assert msg["error"] == "usage"
         assert "reduce k" in msg["message"]
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("ks", [
+        ["-k", "100000"], ["-k", "100000000"], ["--k-range", "1:1000000000000"],
+    ])
+    def test_huge_k_names_the_limit_without_building_the_space(self, capsys, ks):
+        # |X|^k is never built for a k this large, nor printed in full
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "oracle", "--process", "bernoulli:p=0.5", "--unit", "xor", *ks,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        msg = json.loads(err)
+        assert msg["error"] == "usage"
+        assert f"2 * 2 * 2^{ks[1].split(':')[-1]} states" in msg["message"]
+        assert "limit 1048576" in msg["message"]
         assert peak < 2**20
 
     def test_k_15_in_bounded_memory(self, capsys):

@@ -14,7 +14,6 @@ from infostorage import (
     UnitSpec,
     ais,
     compute,
-    conditional_mutual_information,
     count_joint,
     evaluate,
     generate_input,
@@ -23,7 +22,6 @@ from infostorage import (
     local_ais,
     local_icais,
     local_interaction,
-    mutual_information,
     oracle_joint,
     plugin_distribution,
     simulate_unit,
@@ -362,14 +360,63 @@ class TestAverageNonnegativity:
             assert icais(t).average_bits >= -1e-9
 
 
+def entropy(q):
+    """H(q) = -sum q log2 q over q > 0, in bits."""
+    q = q[q > 0]
+    return float(-(q * np.log2(q)).sum())
+
+
 def entropy_reference(d):
-    """The three averages through the entropy-based MI and CMI."""
-    mi = mutual_information(d, (0,), (1,))
-    cmi = conditional_mutual_information(d, (0,), (1,), (2,))
+    """The three averages from the entropies of the marginals of the dense
+    (history, next, input) table: I(h; x) = H(h) + H(x) - H(h, x) and
+    I(h; x | u) = H(h, u) + H(x, u) - H(h, x, u) - H(u)."""
+    p = d.probs
+    mi = entropy(p.sum((1, 2))) + entropy(p.sum((0, 2))) - entropy(p.sum(2))
+    cmi = entropy(p.sum(1)) + entropy(p.sum(0)) - entropy(p) - entropy(p.sum((0, 1)))
     return {"ais": mi, "icais": cmi, "interaction": cmi - mi}
 
 
+def joint(probs):
+    """A hand-built (history, next, input) distribution."""
+    probs = np.asarray(probs, dtype=float)
+    return Distribution(tuple(Alphabet(s) for s in probs.shape), probs)
+
+
+H_BERN_07 = -(0.7 * np.log2(0.7) + 0.3 * np.log2(0.3))
+
+
 class TestAgainstEntropyReference:
+    @pytest.mark.parametrize("probs, want", [
+        (
+            # history = next xor input, next and input independent and uniform
+            [[[0.25, 0.0], [0.0, 0.25]], [[0.0, 0.25], [0.25, 0.0]]],
+            {"ais": 0.0, "icais": 1.0, "interaction": 1.0},
+        ),
+        (
+            np.einsum("i,j,k->ijk", [0.4, 0.6], [0.5, 0.5], [0.2, 0.8]),
+            {"ais": 0.0, "icais": 0.0, "interaction": 0.0},
+        ),
+        (
+            # the stationary pair law of the repeat-with-0.7 chain
+            [[[0.35], [0.15]], [[0.15], [0.35]]],
+            {"ais": 1.0 - H_BERN_07, "icais": 1.0 - H_BERN_07, "interaction": 0.0},
+        ),
+    ], ids=["xor-synergy", "product-law", "sticky-pair"])
+    def test_closed_forms(self, probs, want):
+        d = joint(probs)
+        for r in evaluate(MEASURES, d, k=1):
+            assert abs(r.average_bits - want[r.measure]) < 1e-12
+        ref = entropy_reference(d)
+        for m in MEASURES:
+            assert abs(ref[m] - want[m]) < 1e-12
+
+    def test_forwarding_next_equals_input(self):
+        # forwarding copies each input to the next output, so the oracle
+        # joint puts no mass where they differ
+        probs = oracle_joint(U2, FWD, 1).probs
+        assert not probs[:, 0, 1].any() and not probs[:, 1, 0].any()
+        assert probs[:, 0, 0].any() and probs[:, 1, 1].any()
+
     def test_random_tables(self, rng):
         # alphabets <= 3, k <= 3, input lags 0..2
         for _ in range(150):

@@ -279,6 +279,11 @@ class TestJointChain:
         with pytest.raises(ValueError, match="reduce k$"):
             build_joint_chain(ProcessSpec("bernoulli", p=0.5), UnitSpec("xor_memory"), 19)
 
+    def test_one_output_symbol_has_one_history_at_any_k(self):
+        silent = TableUnit(next_state=[[0, 0]], output=[[0, 0]], n_outputs=1)
+        m = build_joint_chain(ProcessSpec("bernoulli", p=0.5), silent, 10**12)
+        assert m.n_states == 2
+
 
 class TestStationary:
     def test_period_two_flip_chain(self):
