@@ -11,7 +11,6 @@ import csv
 import json
 import re
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,43 +184,154 @@ def _parse_params(rest: str, original: str) -> dict[str, str]:
 def _read_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
     """Columns of an integer CSV file with one header row, by name.
 
-    The body goes through numpy's C parser.  A file it rejects, or reads
-    with no rows or at another width than the header's, is parsed again
-    by ``_read_csv_cells``, which accepts what ``int()`` accepts and names
-    the line of the first bad cell.
+    A body in the grammar of ``_read_csv_fast`` is tokenised with numpy.
+    Any other file is parsed by ``_read_csv_cells``, which accepts what
+    ``int()`` accepts and names the line of the first bad cell.
     """
     parsed = _read_csv_fast(path)
     columns, arr = parsed if parsed is not None else _read_csv_cells(path)
     return columns, {name: arr[:, i] for i, name in enumerate(columns)}
 
 
+# Byte classes of the fast grammar, as a table for bytes.translate.  A body
+# byte of class _OTHER sends the file to the reference parser.
+_DIGIT, _SPACE, _PLUS, _MINUS, _COMMA, _LF, _CR, _OTHER = range(8)
+_CLASS_OF = {**dict.fromkeys(b"0123456789", _DIGIT),
+             **dict(zip(b" +-,\n\r", (_SPACE, _PLUS, _MINUS, _COMMA, _LF, _CR)))}
+_BYTE_CLASS = bytes(_CLASS_OF.get(b, _OTHER) for b in range(256))
+# Body bytes tokenised at a time, cut at a line end: the temporaries, a few
+# bytes per body byte, stay in cache.
+_CSV_CHUNK = 1 << 16
+# The first line and its line end; a lone \r is left to the reference parser.
+_HEADER_LINE = re.compile(rb"([^\r\n]*)(?:\r\n|\n)")
+# Decimal digits of the longest field: 2^63 has 19.  Digits are read eight
+# at a time, as little-endian words ending at a field's last digit, so the
+# body follows three words of padding.
+_FIELD_DIGITS = 19
+_PAD = 3 * 8
+# _KEEP_LAST[n] zeroes all but the last n characters of a word.
+_KEEP_LAST = np.array([(2**64 - 1) >> (64 - 8 * n) << (64 - 8 * n) for n in range(9)], dtype=np.uint64)
+
+
 def _read_csv_fast(path: str) -> tuple[list[str], np.ndarray] | None:
+    """Columns of a file whose body is in the fast grammar, or None.
+
+    The header is the first line, split by ``csv``; it must end in \\n or
+    \\r\\n.  The body is ASCII: lines end in \\n or \\r\\n (or at the end of
+    the file), blank lines are skipped, and every other line holds one
+    field per header column, separated by commas.  A field is any number
+    of ASCII spaces, an optional + or -, one to 19 digits and any number of
+    ASCII spaces, and its value lies from -2^63 to 2^63-1.  Such a body
+    reads as ``_read_csv_cells`` reads it; any other file, an empty body
+    included, gives None.
+    """
     try:
-        if not _c_parser_agrees(path):
+        # A line end closes the last row, even if the file has none.
+        padded = b"".join((bytes(_PAD), Path(path).read_bytes(), b"\n"))
+    except OSError:
+        return None
+    line = _HEADER_LINE.match(padded, _PAD)
+    if line is None:
+        return None
+    try:
+        header = next(csv.reader([line[1].decode("utf-8")], strict=True))
+    except (UnicodeDecodeError, csv.Error):
+        return None
+    if not header:
+        return None
+    text = np.frombuffer(padded, dtype=np.uint8)
+    words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    out = np.empty(len(header) * padded.count(b"\n", line.end()), dtype=np.int64)
+    filled, start, end = 0, line.end(), len(padded)
+    while start < end:
+        stop = padded.find(b"\n", min(start + _CSV_CHUNK, end - 1)) + 1
+        classes = np.frombuffer(padded[start:stop].translate(_BYTE_CLASS), dtype=np.uint8)
+        values = _tokenize(classes, start, text, words, len(header))
+        if values is None:
             return None
-        with Path(path).open(newline="", encoding="utf-8") as fh, warnings.catch_warnings():
-            header = next(csv.reader(fh))
-            # An empty body warns, and older numpy parses "1.0" as an
-            # integer with a DeprecationWarning: both go to the fallback.
-            warnings.simplefilter("error")
-            arr = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-    except (OSError, ValueError, StopIteration, csv.Error, Warning):
+        out[filled : filled + values.size] = values
+        filled += values.size
+        start = stop
+    if not filled:
         return None
-    if arr.shape[0] == 0 or arr.shape[1] != len(header):
-        return None
-    return [name.strip() for name in header], arr
+    return [name.strip() for name in header], out[:filled].reshape(-1, len(header))
 
 
-def _c_parser_agrees(path: str) -> bool:
-    """Whether numpy's integer parser reads the text after the first line
-    as ``int()`` does.  It does not where it skips \\x1c-\\x1f as spaces or
-    takes some non-ASCII letters for digits."""
-    raw = Path(path).read_bytes()
-    first_end = re.search(rb"[\r\n]", raw)
-    start = first_end.end() if first_end else len(raw)
-    if not (raw.isascii() or raw[start:].isascii()):
-        return False
-    return all(raw.find(c, start) < 0 for c in b"\x1c\x1d\x1e\x1f")
+def _tokenize(cls: np.ndarray, offset: int, text: np.ndarray, words: np.ndarray,
+              n_cols: int) -> np.ndarray | None:
+    """The fields, row by row, of whole lines whose byte classes are
+    ``cls`` and which start at ``text[offset]``, or None unless every line
+    is in the fast grammar."""
+    if cls.max() == _OTHER:
+        return None
+    digit = cls == _DIGIT
+    first = digit.copy()
+    first[1:] &= ~digit[:-1]
+    # Digit runs and separators in order: a valid line is D,D,...,D\n.
+    events = np.flatnonzero(first | (cls == _COMMA) | (cls == _LF))
+    kind = cls[events]
+    blank = kind == _LF
+    blank[1:] &= kind[:-1] == _LF
+    if blank.any():
+        # A blank line holds nothing but its line end.
+        at = np.flatnonzero(blank)
+        span = events[at] - np.where(at > 0, events[at - 1], -1)
+        if not ((span == 1) | (span == 2) & (cls[events[at] - 1] == _CR)).all():
+            return None
+        kind, events = kind[~blank], events[~blank]
+    row = bytes([_DIGIT, _COMMA] * (n_cols - 1) + [_DIGIT, _LF])
+    if kind.tobytes() != row * (kind.size // len(row)):
+        return None
+    # csv refuses a field longer than its limit, so the reference parser
+    # must see such a file.
+    if (np.diff(events[1::2], prepend=-1) > csv.field_size_limit() + 1).any():
+        return None
+    signs = np.flatnonzero((cls == _PLUS) | (cls == _MINUS))
+    returns = np.flatnonzero(cls == _CR)
+    if not (digit[signs + 1].all() and (cls[returns + 1] == _LF).all()):
+        return None
+    starts = events[0::2]
+    if (digit[1:] & digit[:-1]).any():
+        last = digit.copy()
+        last[:-1] &= ~digit[1:]
+        values = _digit_values(words, np.flatnonzero(last) + 1 - starts, starts + offset)
+        if values is None:
+            return None
+    else:
+        # One digit per field, as `generate` writes for small alphabets:
+        # one gather, twice as fast as reading words.
+        values = (text[starts + offset] - ord("0")).astype(np.uint64)
+    neg = np.searchsorted(starts, signs[cls[signs] == _MINUS] + 1)
+    over = values > np.uint64(2**63 - 1)
+    over[neg] = values[neg] > np.uint64(2**63)
+    if over.any():
+        return None
+    values[neg] = np.uint64(0) - values[neg]
+    return values.view(np.int64)
+
+
+def _digit_values(words: np.ndarray, length: np.ndarray, starts: np.ndarray) -> np.ndarray | None:
+    """The values, as uint64, of the digit runs of ``length`` digits from
+    byte ``starts``; None if a run is longer than ``_FIELD_DIGITS``."""
+    width = int(length.max())
+    if width > _FIELD_DIGITS:
+        return None
+    ends = starts + length
+    values = np.zeros(length.size, dtype=np.uint64)
+    for i in range(-(-width // 8)):
+        n = np.clip(length - 8 * i, 0, 8)
+        values += _eight_digits(words[ends - 8 * (i + 1)] & _KEEP_LAST[n]) * np.uint64(10 ** (8 * i))
+    return values
+
+
+def _eight_digits(w: np.ndarray) -> np.ndarray:
+    """The value of eight ASCII digits (or zero bytes) in each little-endian
+    word, its first character most significant: each step pairs up the
+    values of adjacent groups of 1, 2 and 4 digits."""
+    w &= np.uint64(0x0F0F0F0F0F0F0F0F)
+    w = (w * np.uint64(10 * 256 + 1)) >> np.uint64(8) & np.uint64(0x00FF00FF00FF00FF)
+    w = (w * np.uint64(100 * 65536 + 1)) >> np.uint64(16) & np.uint64(0x0000FFFF0000FFFF)
+    return (w * np.uint64(10000 * 2**32 + 1)) >> np.uint64(32)
 
 
 def _read_csv_cells(path: str) -> tuple[list[str], np.ndarray]:
@@ -295,30 +405,37 @@ def _result_dict(res: infodyn.MeasureResult) -> dict:
     return out
 
 
-def _write_json_line(out, record: dict) -> None:
+def _write_json_line(out, record: dict, steps: np.ndarray | None) -> None:
     """Write ``json.dumps(record) + "\\n"`` for a flat dict whose values
-    may include a float64 array, written as the list ``json.dumps`` would
-    write, one piece at a time."""
+    may include a float64 local profile, written as the list ``json.dumps``
+    would write, one piece at a time.
+
+    ``steps[t]`` is the count-table cell of the profile's step t.  A step's
+    local value depends only on its cell, so each cell's value is formatted
+    once, and the text is gathered by step and joined a block at a time.
+    """
     out.write("{")
     for i, (key, value) in enumerate(record.items()):
         out.write(f"{', ' if i else ''}{json.dumps(key)}: ")
         if not isinstance(value, np.ndarray):
             out.write(json.dumps(value))
             continue
-        # Local profiles take few distinct values: format each once, then
-        # gather and join a block at a time.  Unique bit patterns keep -0.0
-        # apart from 0.0.
-        bits, inverse = np.unique(value.view(np.int64), return_inverse=True)
-        text = np.array([json.dumps(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        per_cell = np.zeros(int(steps.max()) + 1 if steps.size else 0)
+        per_cell[steps] = value
+        # Unique bit patterns keep -0.0 apart from 0.0.
+        bits, inverse = np.unique(per_cell.view(np.int64), return_inverse=True)
+        text = np.array([json.dumps(v) for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
         out.write("[")
-        for start in range(0, inverse.size, _ROWS_PER_WRITE):
+        for start in range(0, steps.size, _ROWS_PER_WRITE):
             out.write(", " if start else "")
-            out.write(", ".join(text[inverse[start:start + _ROWS_PER_WRITE]].tolist()))
+            out.write(", ".join(text[steps[start:start + _ROWS_PER_WRITE]].tolist()))
         out.write("]")
     out.write("}\n")
 
 
-def _emit(results: list[dict], fmt: str):
+def _emit(results: list[dict], fmt: str, steps: np.ndarray | None = None):
+    """Write the results as CSV or JSON lines; ``steps`` is the cell index
+    of the table whose local profiles the results hold."""
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["measure", "k", "average_bits", "n_transitions"])
@@ -326,7 +443,7 @@ def _emit(results: list[dict], fmt: str):
             writer.writerow([r["measure"], r["k"], f"{r['average_bits']:.15g}", r["n_transitions"]])
     else:
         for r in results:
-            _write_json_line(sys.stdout, r)
+            _write_json_line(sys.stdout, r, steps)
 
 
 def _write_csv_rows(fh, columns: list[np.ndarray], sizes: list[int]) -> None:
@@ -423,8 +540,9 @@ def _analyze(args, default_format: str, local: bool = False) -> int:
         results = [r for k in ks for r in infodyn.evaluate(measures, table, k=k, local=local)]
     except ValueError as e:
         raise DataError(str(e))
-    del table  # its per-step arrays would otherwise stay alive while the results are written
-    _emit([_result_dict(r) for r in results], args.format or default_format)
+    steps = table.transitions
+    del table  # only its step index is needed to write the local profiles
+    _emit([_result_dict(r) for r in results], args.format or default_format, steps)
     return EXIT_OK
 
 

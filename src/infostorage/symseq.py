@@ -17,7 +17,8 @@ import numpy as np
 # stay below this.
 _CODE_LIMIT = 2**63
 
-# Codes counted per bincount call on the dense pass (see _rank_codes).
+# Codes counted per bincount call on the dense pass, and searched per
+# searchsorted call on the sort path (see _rank_codes).
 _COUNT_CHUNK = 2**16
 
 
@@ -318,6 +319,13 @@ def _rank_codes(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray, 
         return distinct, dense[distinct], rank[codes]
     # Searching the sorted cells gives np.unique's inverse without its
     # argsort and gathers, which hold about six N-sized arrays at once.
-    distinct = np.unique(codes)
-    index = np.searchsorted(distinct, codes).astype(_index_dtype(distinct.size))
-    return distinct, np.bincount(index, minlength=distinct.size), index
+    # Searched a chunk at a time, the intp positions stay in cache and are
+    # written straight into the index dtype; the counts are the lengths of
+    # the sorted runs, so nothing casts the index back to intp.  Asking for
+    # them also keeps np.unique on its sorting path: numpy 2.3 and later
+    # hash instead, which is far slower when most codes are distinct.
+    distinct, counts = np.unique(codes, return_counts=True)
+    index = np.empty(codes.size, dtype=_index_dtype(distinct.size))
+    for i in range(0, codes.size, _COUNT_CHUNK):
+        index[i : i + _COUNT_CHUNK] = np.searchsorted(distinct, codes[i : i + _COUNT_CHUNK])
+    return distinct, counts, index

@@ -11,6 +11,7 @@ import pytest
 
 from infostorage import Alphabet, EmbeddingConfig, SymbolSeries, cli, count_joint, infodyn, procsim
 from infostorage.cli import (
+    _CSV_CHUNK,
     _ROWS_PER_WRITE,
     DataError,
     _parse_process_spec,
@@ -413,8 +414,21 @@ class TestAnalyze:
         for array in (values, long, np.array([], dtype=np.float64)):
             record = {"measure": "ais", "local": array, "start_index": 1}
             out = io.StringIO()
-            _write_json_line(out, record)
+            _write_json_line(out, record, np.arange(array.size, dtype=np.int32))
             assert out.getvalue() == json.dumps({**record, "local": array.tolist()}) + "\n"
+
+    def test_json_profile_formats_each_cell_once(self, monkeypatch):
+        # many steps over four cells, holding 0.0, -0.0, NaN and 1/3
+        cell_values = np.array([0.0, -0.0, np.nan, 1 / 3])
+        steps = np.random.default_rng(3).integers(0, 4, 3 * _ROWS_PER_WRITE + 7).astype(np.int32)
+        record = {"measure": "ais", "local": cell_values[steps], "start_index": 2}
+        formatted = []
+        real_dumps = json.dumps
+        monkeypatch.setattr(cli.json, "dumps", lambda v: formatted.append(v) or real_dumps(v))
+        out = io.StringIO()
+        _write_json_line(out, record, steps)
+        assert out.getvalue() == real_dumps({**record, "local": cell_values[steps].tolist()}) + "\n"
+        assert sum(isinstance(v, float) for v in formatted) == 4
 
     def test_symbol_beyond_int64_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "huge.csv"
@@ -440,6 +454,14 @@ class TestAnalyze:
     def test_field_over_csv_limit_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "long.csv"
         p.write_text("output\n0\n" + "1" * 200_000 + "\n")
+        code, _, err = run(capsys, "analyze", "--data", str(p), "-k", "1")
+        assert code == 2
+        assert json.loads(err)["error"] == "data"
+
+    def test_spaced_field_over_csv_limit_is_data_error(self, tmp_path, capsys):
+        # a field of one digit, but longer than csv's field limit
+        p = tmp_path / "spaced.csv"
+        p.write_text("output\n0\n" + " " * 200_000 + "1\n")
         code, _, err = run(capsys, "analyze", "--data", str(p), "-k", "1")
         assert code == 2
         assert json.loads(err)["error"] == "data"
@@ -477,7 +499,7 @@ def _cells_outcome(path):
     return columns, arr.tolist()
 
 
-# (file text, what the per-cell parser makes of it, whether numpy's parser takes it)
+# (file text, what the per-cell parser makes of it, whether the tokenizer takes it)
 INGEST_CASES = [
     ("output\n1\n0\n", (["output"], [[1], [0]]), True),
     ('output\n"1"\n"0"\n', (["output"], [[1], [0]]), False),
@@ -503,6 +525,30 @@ INGEST_CASES = [
     ("output\n0\n9223372036854775808\n",
      "{path}:3: value '9223372036854775808' in column 'output' does not fit a 64-bit integer",
      False),
+    ("output\n0\n12345678901234567890\n",
+     "{path}:3: value '12345678901234567890' in column 'output' does not fit a 64-bit integer",
+     False),
+    ("output\n0\n-9223372036854775809\n",
+     "{path}:3: value '-9223372036854775809' in column 'output' does not fit a 64-bit integer",
+     False),
+    # more than 19 digits go to the per-cell parser, even as leading zeros
+    ("output\n00000000000000000001\n-0000000000000000000000002\n", (["output"], [[1], [-2]]), False),
+    ("a\n1234567890123456789\n-99999999\n100000000\n+0012\n",
+     (["a"], [[1234567890123456789], [-99999999], [100000000], [12]]), True),
+    ("output\n1 2\n", "{path}:2: non-integer value '1 2' in column 'output'", False),
+    ("output\n- 1\n", "{path}:2: non-integer value '- 1' in column 'output'", False),
+    ("output\n+\n", "{path}:2: non-integer value '+' in column 'output'", False),
+    ("a,b,c\n1,,2\n", "{path}:2: non-integer value '' in column 'b'", False),
+    ("a,b\n1,2,\n", "{path}:2: expected 2 fields", False),
+    ("output\n0\n  \n1\n", "{path}:3: non-integer value '  ' in column 'output'", False),
+    ("output\r\n1\r\n\r\n\n0\r\n", (["output"], [[1], [0]]), True),
+    ("output\r1\r0\r", (["output"], [[1], [0]]), False),
+    ("a,b\n1,2\r3,4\n", (["a", "b"], [[1, 2], [3, 4]]), False),
+    ("output\n\t1\n0\t\n", (["output"], [[1], [0]]), False),
+    ('"a,b",c\n1,2\n', (["a,b", "c"], [[1, 2]]), True),
+    ('"a\nb",c\n1,2\n', (["a\nb", "c"], [[1, 2]]), False),
+    ('x,"y\n1,2\n', "no data rows in {path}", False),
+    ("a,b\n1\r,2\n", "{path}:2: expected 2 fields", False),
 ]
 
 
@@ -544,6 +590,29 @@ class TestIngest:
             assert _read_outcome(str(p)) == _cells_outcome(str(p)), repr(text)
         assert 100 < fast < 500
         assert capfd.readouterr() == ("", "")
+
+    def test_fast_path_matches_cell_parser_across_chunks(self, tmp_path):
+        # many chunks of signed values of 1 to 19 digits, spaced, with CRLF
+        # and blank lines; the last line has no line end
+        rng = np.random.default_rng(5)
+        n = 3 * _CSV_CHUNK // 8
+        digits = rng.integers(1, 19, size=(n, 2))
+        values = rng.integers(10 ** (digits - 1), 10**digits)
+        values[rng.random((n, 2)) < 0.3] *= -1
+        values[:3] = [[2**63 - 1, -(2**63)], [10**18, -(10**18)], [0, 0]]
+        signs = rng.choice(["", "", "+"], size=(n, 2))
+        pads = rng.choice(["", "", " ", "  "], size=(n, 4))
+        ends = rng.choice(["\n", "\n", "\r\n", "\n\n", "\r\n\r\n"], size=n)
+        rows = [
+            f"{p[0]}{s[0] if v[0] >= 0 else ''}{v[0]}{p[1]},{p[2]}{s[1] if v[1] >= 0 else ''}{v[1]}{p[3]}{e}"
+            for v, s, p, e in zip(values.tolist(), signs, pads, ends)
+        ]
+        p = tmp_path / "chunks.csv"
+        p.write_text("x,y\n" + "".join(rows).rstrip("\r\n"))
+        assert p.stat().st_size > 3 * _CSV_CHUNK
+        columns, arr = _read_csv_fast(str(p))
+        assert (columns, arr.tolist()) == _cells_outcome(str(p))
+        assert arr.tolist() == values.tolist()
 
 
 class TestSweep:

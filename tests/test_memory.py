@@ -6,11 +6,24 @@ with about 25 % headroom: a binary symbol takes one byte and a step's index
 into the cells four, so an int64 copy of either breaks the bound.
 """
 
+import io
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from infostorage import EmbeddingConfig, ProcessSpec, UnitSpec, count_joint, generate_input, simulate_unit
+from infostorage import (
+    Alphabet,
+    EmbeddingConfig,
+    ProcessSpec,
+    SymbolSeries,
+    UnitSpec,
+    count_joint,
+    generate_input,
+    infodyn,
+    simulate_unit,
+)
+from infostorage.cli import _write_json_line
 
 N = 10**6
 
@@ -47,3 +60,24 @@ def test_simulate_unit_budget():
     # and the uint8 outputs with the series' copy of them
     u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
     assert peak_bytes_per_step(simulate_unit, UnitSpec("xor_memory"), u) < 12.5
+
+
+def test_count_joint_sort_path_budget():
+    # measured 29.0: 65 536 symbols at k = 1 make a cell space of 2^32, so
+    # the uint32 codes are sorted, and nearly every step has its own cell:
+    # the codes, their sorted copy and np.unique's run bounds, then the
+    # int32 step indices beside the int64 cells and counts
+    x = SymbolSeries(Alphabet(2**16), np.random.default_rng(0).permutation(N) % 2**16)
+    assert peak_bytes_per_step(count_joint, x, None, EmbeddingConfig(1)) < 36
+
+
+def test_write_local_profile_budget():
+    # measured 20.6: the text itself, about 20 characters a step; each of
+    # the 64 cells is formatted once and the steps' text is gathered a
+    # block at a time, so no 8-byte array per step is made
+    u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
+    x = simulate_unit(UnitSpec("xor_memory"), u)
+    table = count_joint(x, u, EmbeddingConfig(4))
+    (res,) = infodyn.evaluate(["ais"], table, local=True)
+    record = {"measure": "ais", "local": res.local.values, "start_index": res.local.start_index}
+    assert peak_bytes_per_step(_write_json_line, io.StringIO(), record, table.transitions) < 26
