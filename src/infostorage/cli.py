@@ -450,17 +450,18 @@ def _write_csv_rows(fh, columns: list[np.ndarray], sizes: list[int]) -> None:
     """Write the lines ``csv.writer`` writes for rows of small ints.
 
     ``columns[j]`` holds symbols below ``sizes[j]``.  Each distinct row is
-    formatted once; rows are gathered by their mixed-radix code and joined
-    a block at a time, so memory beyond the codes stays bounded.
+    formatted once; each block of rows is coded by its mixed-radix code,
+    gathered and joined on its own, so memory beyond the columns stays
+    bounded.
     """
-    code = np.zeros(len(columns[0]), dtype=np.int64)
-    for col, size in zip(columns, sizes):
-        code = code * size + col
     rows = np.array(
         [",".join(map(str, row)) for row in np.ndindex(*sizes)], dtype=object
     )
-    for start in range(0, len(code), _ROWS_PER_WRITE):
-        fh.write("\n".join(rows[code[start:start + _ROWS_PER_WRITE]].tolist()) + "\n")
+    for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
+        code = np.zeros(min(_ROWS_PER_WRITE, len(columns[0]) - start), dtype=np.int64)
+        for col, size in zip(columns, sizes):
+            code = code * size + col[start:start + _ROWS_PER_WRITE]
+        fh.write("\n".join(rows[code].tolist()) + "\n")
 
 
 def cmd_generate(args) -> int:

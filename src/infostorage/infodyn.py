@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import Distribution
-from .symseq import JointCountTable, decode_history
+from .symseq import JointCountTable, _take, decode_history
 
 MEASURES = ("ais", "icais", "interaction")
 
@@ -173,7 +173,7 @@ def _at_steps(cells: _Cells, measure: str, table: JointCountTable, k: int) -> Lo
             f"observed transition (history={decode_history(h, k, nx)}, next={x}) has zero "
             f"probability under the supplied distribution ({what})"
         )
-    return LocalProfile(measure, k, cells.values[measure][idx][table.transitions], table.start_index)
+    return LocalProfile(measure, k, _take(cells.values[measure][idx], table.transitions), table.start_index)
 
 
 def evaluate(

@@ -24,9 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import Distribution
-from .symseq import BINARY, Alphabet, SymbolSeries, _integer_array, _symbol_dtype
+from .symseq import BINARY, Alphabet, SymbolSeries, _integer_array, _symbol_dtype, _take
 
 STATE_SPACE_LIMIT = 2**20
+
+# simulate_unit's word table has at most _WORD_CELLS (state, word) pairs,
+# and a word at most _WORD_MAX inputs, which bounds a one-symbol input.
+_WORD_CELLS = 2**12
+_WORD_MAX = 16
+
+# Uniform draws made per call by generate_input.
+_DRAW_CHUNK = 2**16
 
 
 class ConvergenceError(RuntimeError):
@@ -79,16 +87,28 @@ def generate_input(spec: ProcessSpec, n: int) -> SymbolSeries:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = _rng(spec.seed)
+    data = np.empty(n, dtype=np.uint8)
     if spec.kind == "bernoulli":
-        data = (rng.random(n) < spec.p).view(np.uint8)
+        _draw_below(rng, spec.p, data)
     else:
         # u[t] is the first symbol XOR the flips before t: a running XOR
         # of one byte per step, where a running sum would need int64.
-        data = np.empty(n, dtype=np.uint8)
         data[0] = rng.integers(0, 2)
-        data[1:] = rng.random(n - 1) < (1.0 - spec.p_stay)
+        _draw_below(rng, 1.0 - spec.p_stay, data[1:])
         np.bitwise_xor.accumulate(data, out=data)
     return SymbolSeries(BINARY, data)
+
+
+def _draw_below(rng: np.random.Generator, p: float, out: np.ndarray) -> None:
+    """Set ``out[t]`` to 1 where the t-th uniform draw falls below p, else
+    to 0.  The draws are made ``_DRAW_CHUNK`` at a time into one reused
+    float buffer; they are the same stream as one ``rng.random(out.size)``.
+    """
+    buf = np.empty(min(out.size, _DRAW_CHUNK))
+    for i in range(0, out.size, _DRAW_CHUNK):
+        draws = buf[: min(_DRAW_CHUNK, out.size - i)]
+        rng.random(out=draws)
+        np.less(draws, p, out=out[i : i + _DRAW_CHUNK])
 
 
 @dataclass(frozen=True)
@@ -162,12 +182,19 @@ def _as_unit(unit: TableUnit | UnitSpec) -> TableUnit:
 def simulate_unit(unit: TableUnit | UnitSpec, input_series: SymbolSeries) -> SymbolSeries:
     """Run the unit over the whole input series; output has equal length.
 
-    The series is cut into blocks of about sqrt(N) steps, and each step
-    below runs across all blocks at once.  The first pass moves every
-    possible start state of every block through its block, which gives
-    each block's end-state map; chaining those maps from the initial
-    state gives each block's true start state; the second pass replays
-    every block from that state and records the outputs.
+    The unit steps through a word of w inputs per table lookup: a word
+    table gives, for every (state, word) pair, the state at the word's end
+    and the w outputs on the way.  w is the largest length, at most
+    ``_WORD_MAX``, whose table has at most ``_WORD_CELLS`` pairs (w = 1
+    when even one input per state exceeds that).  The inputs are packed
+    into word codes, oldest symbol most significant, and the words cut
+    into blocks of about sqrt(N / w) words; each word below runs across
+    all blocks at once.  The first pass moves every possible start state
+    of every block through its block, which gives each block's end-state
+    map; chaining those maps from the initial state gives each block's
+    true start state; the second pass replays every block from that state
+    and records each word's (state, word) pair, whose output row is then
+    gathered from the table.
     """
     unit = _as_unit(unit)
     n_inputs = unit.input_alphabet.size
@@ -176,24 +203,33 @@ def simulate_unit(unit: TableUnit | UnitSpec, input_series: SymbolSeries) -> Sym
             f"unit expects inputs over {n_inputs} symbols, "
             f"series uses {input_series.alphabet.size}"
         )
-    n = len(input_series)
-    width = math.isqrt(n)
-    n_blocks = -(-n // width)
-    # steps[t, b]: input at step t of block b (the last block is padded).
-    # The padding is done in the input's own dtype; steps is the only
-    # int64 buffer.
-    padded = np.zeros(n_blocks * width, dtype=input_series.data.dtype)
-    padded[:n] = input_series.data
-    steps = np.empty((width, n_blocks), dtype=np.int64)
-    steps[...] = padded.reshape(n_blocks, width).T
-    del padded
-    # flat table index of (state, input) is state * n_inputs + input
-    next_state = unit.next_state.ravel()
-    output = unit.output.ravel()
+    n_states = unit.n_states
+    w = 1
+    while w < _WORD_MAX and n_states * n_inputs ** (w + 1) <= _WORD_CELLS:
+        w += 1
+    n_words = n_inputs**w
+    word_next, word_output = _word_table(unit, w)
 
-    ends = np.tile(np.arange(unit.n_states), (n_blocks, 1))
-    for u in steps:
-        ends = next_state[ends * n_inputs + u[:, None]]
+    n = len(input_series)
+    n_codes = -(-n // w)
+    width = math.isqrt(n_codes)
+    n_blocks = -(-n_codes // width)
+    # codes[b, t]: word t of block b, later its (state, word) pair
+    # state * n_words + word.  Both fit the dtype of the table's pairs,
+    # which also holds the multiplier |U| whenever w > 1.  Symbols past the
+    # end count as input 0: they pad the last word and the last block.
+    data = input_series.data
+    codes = np.zeros(n_blocks * width, dtype=_symbol_dtype(n_states * n_words))
+    codes[:n_codes] = data[::w]
+    for j in range(1, w):
+        codes *= n_inputs
+        column = data[j::w]
+        codes[: column.size] += column
+    codes = codes.reshape(n_blocks, width)
+
+    ends = np.tile(np.arange(n_states), (n_blocks, 1))
+    for word in codes.T:
+        ends = word_next[ends * n_words + word[:, None]]
     starts = np.empty(n_blocks, dtype=np.int64)
     state = unit.initial_state
     for b, end in enumerate(ends.tolist()):
@@ -201,13 +237,31 @@ def simulate_unit(unit: TableUnit | UnitSpec, input_series: SymbolSeries) -> Sym
         state = end[state]
 
     state = starts
-    for u in steps:  # each input is overwritten by the output it causes
-        cell = state * n_inputs + u
-        u[:] = output[cell]
-        state = next_state[cell]
-    outputs = np.empty((n_blocks, width), dtype=_symbol_dtype(unit.output_alphabet.size))
-    outputs[...] = steps.T
+    for word in codes.T:  # each word is overwritten by its (state, word) pair
+        pair = state * n_words + word
+        word[:] = pair
+        state = word_next[pair]
+    outputs = _take(word_output, codes.ravel())
     return SymbolSeries(unit.output_alphabet, outputs.ravel()[:n])
+
+
+def _word_table(unit: TableUnit, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit's moves over words of w inputs.  Pair state * |U|^w + word,
+    the word coding its inputs oldest first in base |U|, has end state
+    ``word_next[pair]`` and outputs ``word_output[pair]``, a row of w in
+    the output alphabet's dtype."""
+    n_inputs = unit.input_alphabet.size
+    pairs = np.arange(unit.n_states * n_inputs**w)
+    state = pairs // n_inputs**w
+    word_output = np.empty(
+        (pairs.size, w), dtype=_symbol_dtype(unit.output_alphabet.size)
+    )
+    for j in range(w):
+        # flat table index of (state, input) is state * |U| + input
+        cell = state * n_inputs + pairs // n_inputs ** (w - 1 - j) % n_inputs
+        word_output[:, j] = unit.output.ravel()[cell]
+        state = unit.next_state.ravel()[cell]
+    return state, word_output
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,10 @@ _CODE_LIMIT = 2**63
 # searchsorted call on the sort path (see _rank_codes).
 _COUNT_CHUNK = 2**16
 
+# Steps gathered per np.take call by _take: numpy's own buffer size, so the
+# intp copy of each chunk of the index stays in cache.
+_TAKE_CHUNK = 2**13
+
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -314,9 +318,9 @@ def _rank_codes(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray, 
             dense += np.bincount(codes[i : i + step], minlength=space)
         distinct = np.flatnonzero(dense)
         # The rank table is at most N long; gathering from it in the index
-        # dtype makes no N-sized int64 array.
+        # dtype, through _take, makes no N-sized intp array.
         rank = np.cumsum(dense > 0, dtype=_index_dtype(distinct.size)) - 1
-        return distinct, dense[distinct], rank[codes]
+        return distinct, dense[distinct], _take(rank, codes)
     # Searching the sorted cells gives np.unique's inverse without its
     # argsort and gathers, which hold about six N-sized arrays at once.
     # Searched a chunk at a time, the intp positions stay in cache and are
@@ -329,3 +333,25 @@ def _rank_codes(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray, 
     for i in range(0, codes.size, _COUNT_CHUNK):
         index[i : i + _COUNT_CHUNK] = np.searchsorted(distinct, codes[i : i + _COUNT_CHUNK])
     return distinct, counts, index
+
+
+def _take(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[index]`` for a 1-D ``index`` of any integer dtype: the rows
+    of ``values`` (its entries when it is 1-D) that ``index`` names.
+
+    A fancy index that is not intp is cast in numpy's buffered chunks,
+    which is slower than an intp index, and ``np.take`` casts the whole
+    index to intp at once, eight bytes per step.  Here each chunk of
+    ``_TAKE_CHUNK`` steps is cast into one reused intp buffer and gathered
+    straight into the result, so the only N-sized array is the result.
+    Every caller's index lies in range by construction, so the gather
+    skips the bounds check of ``np.take``'s default mode, which also
+    copies each chunk of the result through a buffer.
+    """
+    out = np.empty(index.shape + values.shape[1:], dtype=values.dtype)
+    buf = np.empty(min(index.size, _TAKE_CHUNK), dtype=np.intp)
+    for i in range(0, index.size, _TAKE_CHUNK):
+        chunk = buf[: min(_TAKE_CHUNK, index.size - i)]
+        chunk[...] = index[i : i + _TAKE_CHUNK]
+        np.take(values, chunk, axis=0, out=out[i : i + _TAKE_CHUNK], mode="wrap")
+    return out

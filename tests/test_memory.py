@@ -23,7 +23,7 @@ from infostorage import (
     infodyn,
     simulate_unit,
 )
-from infostorage.cli import _write_json_line
+from infostorage.cli import _write_csv_rows, _write_json_line
 
 N = 10**6
 
@@ -42,9 +42,10 @@ def peak_bytes_per_step(fn, *args):
     "spec", [ProcessSpec("markov_binary", p_stay=0.7, seed=1), ProcessSpec("bernoulli", p=0.3, seed=1)]
 )
 def test_generate_input_budget(spec):
-    # measured 10.8 (markov) and 9.0 (bernoulli): the float draws, their
-    # comparison, and the uint8 series with its copy
-    assert peak_bytes_per_step(generate_input, spec, N) < 13.5
+    # measured 2.75 (markov) and 2.0 (bernoulli): the uint8 series with its
+    # copy, and for markov the 2^16 float draws' reused buffer; the draws
+    # are never held N at a time
+    assert peak_bytes_per_step(generate_input, spec, N) < 3.5
 
 
 def test_count_joint_budget():
@@ -56,10 +57,12 @@ def test_count_joint_budget():
 
 
 def test_simulate_unit_budget():
-    # measured 10.0: the int64 step buffer, the uint8 input padded for it,
-    # and the uint8 outputs with the series' copy of them
+    # measured 2.29: the uint8 outputs with the series' copy of them, and
+    # one uint16 code per word of 11 inputs; the outputs are gathered
+    # through an intp buffer of 2^13 words, so no 8-byte array per step or
+    # per word is made
     u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
-    assert peak_bytes_per_step(simulate_unit, UnitSpec("xor_memory"), u) < 12.5
+    assert peak_bytes_per_step(simulate_unit, UnitSpec("xor_memory"), u) < 2.9
 
 
 def test_count_joint_sort_path_budget():
@@ -81,3 +84,27 @@ def test_write_local_profile_budget():
     (res,) = infodyn.evaluate(["ais"], table, local=True)
     record = {"measure": "ais", "local": res.local.values, "start_index": res.local.start_index}
     assert peak_bytes_per_step(_write_json_line, io.StringIO(), record, table.transitions) < 26
+
+
+@pytest.mark.parametrize("measure", ["ais", "icais"])
+def test_local_profile_budget(measure):
+    # measured 8.07: the float64 profile itself; the int32 step index is
+    # cast to intp 2^13 steps at a time, so an intp copy of it (8 more
+    # bytes per step) breaks the bound
+    u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
+    x = simulate_unit(UnitSpec("xor_memory"), u)
+    table = count_joint(x, u, EmbeddingConfig(4))
+    assert peak_bytes_per_step(infodyn.local_profile, measure, table) < 10
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def test_write_csv_rows_budget():
+    # measured 1.57, whatever N: one block of 2^16 rows' int64 codes, their
+    # gathered text and its join; an int64 code per step (8 bytes) breaks it
+    u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
+    x = simulate_unit(UnitSpec("xor_memory"), u)
+    assert peak_bytes_per_step(_write_csv_rows, _Discard(), [u.data, x.data], [2, 2]) < 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infostorage import (
     BINARY,
@@ -155,6 +157,86 @@ class TestSimulateUnit:
             )
             u = SymbolSeries(unit.input_alphabet, rng.integers(0, unit.input_alphabet.size, n))
             assert simulate_unit(unit, u).data.tolist() == step_loop(unit, u.data)
+
+    # xor has 2 states and 2 inputs, so a word holds w = 11 inputs
+    # (2 * 2^11 = 2^12 pairs); 121 = 11^2 words fill 11 blocks of 11 words.
+    @pytest.mark.parametrize(
+        "n", [10, 11, 12, 21, 22, 23, 11 * 121 - 1, 11 * 121, 11 * 121 + 1, 11 * 122 + 1]
+    )
+    def test_kernel_at_word_and_block_edges(self, n):
+        rng = np.random.default_rng(n)
+        u = SymbolSeries(BINARY, rng.integers(0, 2, n))
+        for init in (0, 1):
+            spec = UnitSpec("xor_memory", initial_state=init)
+            assert simulate_unit(spec, u).data.tolist() == step_loop(make_unit(spec), u.data)
+        # 4 states and 2 inputs: w = 10
+        unit = random_table_unit(rng, 4, 2, 3)
+        assert simulate_unit(unit, u).data.tolist() == step_loop(unit, u.data)
+
+    def test_one_input_symbol_caps_the_word(self):
+        # with |U| = 1 every word length fits the table; the cap of 16
+        # inputs per word keeps it finite
+        cycle = TableUnit(
+            next_state=[[1], [2], [3], [4], [0]], output=[[0], [1], [2], [3], [4]],
+            n_outputs=5, initial_state=2,
+        )
+        u = SymbolSeries(Alphabet(1), np.zeros(10**5, dtype=np.int64))
+        x = simulate_unit(cycle, u)
+        assert x.data.tolist() == step_loop(cycle, u.data)
+        assert x.data.tolist()[:6] == [2, 3, 4, 0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "n_states, n_inputs, n_outputs",
+        [
+            (2049, 2, 2),  # S * |U| = 4098 > 2^12: one input per lookup
+            (8, 32, 2),  # 2^8 pairs of one input: the widest uint8 pair codes
+            (1, 257, 3),  # 2^8 + 1 pairs: the narrowest uint16 ones
+            (256, 256, 300),  # 2^16 pairs: the widest uint16 ones, uint16 outputs
+            (1, 2**16 + 1, 2),  # 2^16 + 1 pairs: the narrowest uint32 ones
+        ],
+    )
+    def test_one_input_words_at_pair_dtype_edges(self, n_states, n_inputs, n_outputs):
+        rng = np.random.default_rng(n_states)
+        for n in (1, 1000, 3001):
+            unit = random_table_unit(rng, n_states, n_inputs, n_outputs)
+            u = SymbolSeries(unit.input_alphabet, rng.integers(0, n_inputs, n))
+            assert simulate_unit(unit, u).data.tolist() == step_loop(unit, u.data)
+        # The state is the last input mod S, and the inputs run through
+        # every pair (a, b) with a < min(S, |U|): with S <= |U| every
+        # (state, input) pair occurs, the largest pair code included.
+        unit = TableUnit(
+            np.broadcast_to(np.arange(n_inputs) % n_states, (n_states, n_inputs)),
+            rng.integers(0, n_outputs, (n_states, n_inputs)),
+            n_outputs,
+        )
+        a, b = np.divmod(np.arange(min(n_states, n_inputs) * n_inputs), n_inputs)
+        u = SymbolSeries(unit.input_alphabet, np.column_stack([a, b]).ravel())
+        assert simulate_unit(unit, u).data.tolist() == step_loop(unit, u.data)
+
+    def test_random_initial_states(self):
+        rng = np.random.default_rng(17)
+        u = SymbolSeries(Alphabet(3), rng.integers(0, 3, 4000))
+        for _ in range(10):
+            tables = random_table_unit(rng, 7, 3, 4)
+            for init in rng.choice(7, 3, replace=False):
+                unit = TableUnit(tables.next_state, tables.output, 4, initial_state=int(init))
+                assert simulate_unit(unit, u).data.tolist() == step_loop(unit, u.data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_states=st.integers(1, 12),
+        n_inputs=st.integers(1, 5),
+        n_outputs=st.integers(1, 300),
+        n=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_matches_step_loop_property(self, n_states, n_inputs, n_outputs, n, seed):
+        rng = np.random.default_rng(seed)
+        unit = random_table_unit(rng, n_states, n_inputs, n_outputs)
+        u = SymbolSeries(unit.input_alphabet, rng.integers(0, n_inputs, n))
+        x = simulate_unit(unit, u)
+        assert x.data.dtype == np.min_scalar_type(n_outputs - 1)
+        assert x.data.tolist() == step_loop(unit, u.data)
 
     def test_wide_output_alphabet_does_not_wrap(self):
         # 300 outputs are held as uint16; the kernel's cell arithmetic

@@ -360,3 +360,27 @@ class TestCodeDtypeEdges:
         xs = [random_series(rng, n, 2) for n in (300, 250, 400)]
         us = [random_series(rng, n, 2) for n in (300, 250, 400)]
         self.check(xs, us, EmbeddingConfig(k, 3), code_dtype)
+
+
+class TestTake:
+    """``_take`` gathers ``_TAKE_CHUNK`` steps at a time; it must equal a
+    plain fancy index whatever the index dtype and however the length
+    falls against the chunk."""
+
+    @pytest.mark.parametrize("index_dtype", [np.uint8, np.uint16, np.int32, np.int64])
+    @pytest.mark.parametrize("value_dtype", [np.float64, np.int32])
+    @pytest.mark.parametrize(
+        "size", [0, 1, symseq._TAKE_CHUNK - 1, symseq._TAKE_CHUNK, symseq._TAKE_CHUNK + 1]
+    )
+    def test_equals_fancy_index(self, rng, index_dtype, value_dtype, size):
+        values = rng.integers(-1000, 1000, 200).astype(value_dtype)
+        index = rng.integers(0, values.size, size).astype(index_dtype)
+        index[:1] = values.size - 1
+        got = symseq._take(values, index)
+        assert got.dtype == values.dtype
+        assert np.array_equal(got, values[index])
+
+    def test_gathers_rows(self, rng):
+        values = rng.integers(0, 300, (50, 7)).astype(np.uint16)
+        index = rng.integers(0, 50, 3 * symseq._TAKE_CHUNK + 5).astype(np.uint8)
+        assert np.array_equal(symseq._take(values, index), values[index])
