@@ -380,7 +380,8 @@ def _series_from_columns(data: dict[str, np.ndarray], names: list[str]) -> list[
     largest.  The relabel is monotone, so every result is as for the
     original symbols; when all of 0..max occur it is the identity.
     """
-    values = np.concatenate([data[c] for c in names])
+    # One column is ranked straight from its view into the parsed block.
+    values = data[names[0]] if len(names) == 1 else np.concatenate([data[c] for c in names])
     lo, hi = int(values.min()), int(values.max())
     if lo < 0:
         raise DataError(f"negative symbol in column(s) {names}")
@@ -400,31 +401,30 @@ def _result_dict(res: infodyn.MeasureResult) -> dict:
         "source": res.source,
     }
     if res.local is not None:
-        out["local"] = res.local.values
+        out["local"] = res.local
         out["start_index"] = res.local.start_index
     return out
 
 
-def _write_json_line(out, record: dict, steps: np.ndarray | None) -> None:
+def _write_json_line(out, record: dict) -> None:
     """Write ``json.dumps(record) + "\\n"`` for a flat dict whose values
-    may include a float64 local profile, written as the list ``json.dumps``
-    would write, one piece at a time.
+    may include a local profile, written as the list of its per-step
+    values ``json.dumps`` would write, one piece at a time.
 
-    ``steps[t]`` is the count-table cell of the profile's step t.  A step's
-    local value depends only on its cell, so each cell's value is formatted
-    once, and the text is gathered by step and joined a block at a time.
+    A step's local value depends only on its cell, so each distinct cell
+    value is formatted once, and the text is gathered by step and joined a
+    block at a time.
     """
     out.write("{")
     for i, (key, value) in enumerate(record.items()):
         out.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-        if not isinstance(value, np.ndarray):
+        if not isinstance(value, infodyn.LocalProfile):
             out.write(json.dumps(value))
             continue
-        per_cell = np.zeros(int(steps.max()) + 1 if steps.size else 0)
-        per_cell[steps] = value
         # Unique bit patterns keep -0.0 apart from 0.0.
-        bits, inverse = np.unique(per_cell.view(np.int64), return_inverse=True)
+        bits, inverse = np.unique(value.cell_values.view(np.int64), return_inverse=True)
         text = np.array([json.dumps(v) for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
+        steps = value.transitions
         out.write("[")
         for start in range(0, steps.size, _ROWS_PER_WRITE):
             out.write(", " if start else "")
@@ -433,9 +433,8 @@ def _write_json_line(out, record: dict, steps: np.ndarray | None) -> None:
     out.write("}\n")
 
 
-def _emit(results: list[dict], fmt: str, steps: np.ndarray | None = None):
-    """Write the results as CSV or JSON lines; ``steps`` is the cell index
-    of the table whose local profiles the results hold."""
+def _emit(results: list[dict], fmt: str):
+    """Write the results as CSV or JSON lines."""
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["measure", "k", "average_bits", "n_transitions"])
@@ -443,7 +442,7 @@ def _emit(results: list[dict], fmt: str, steps: np.ndarray | None = None):
             writer.writerow([r["measure"], r["k"], f"{r['average_bits']:.15g}", r["n_transitions"]])
     else:
         for r in results:
-            _write_json_line(sys.stdout, r, steps)
+            _write_json_line(sys.stdout, r)
 
 
 def _write_csv_rows(fh, columns: list[np.ndarray], sizes: list[int]) -> None:
@@ -541,9 +540,7 @@ def _analyze(args, default_format: str, local: bool = False) -> int:
         results = [r for k in ks for r in infodyn.evaluate(measures, table, k=k, local=local)]
     except ValueError as e:
         raise DataError(str(e))
-    steps = table.transitions
-    del table  # only its step index is needed to write the local profiles
-    _emit([_result_dict(r) for r in results], args.format or default_format, steps)
+    _emit([_result_dict(r) for r in results], args.format or default_format)
     return EXIT_OK
 
 

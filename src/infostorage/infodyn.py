@@ -31,28 +31,43 @@ MEASURES = ("ais", "icais", "interaction")
 
 @dataclass(frozen=True)
 class LocalProfile:
-    """Per-time-step local measure values (bits), aligned to the series.
+    """Local measure values (bits) of a count table's time steps, held per
+    cell: a step's value depends only on its cell.
 
-    ``values[i]`` belongs to the transition whose `next` symbol sits at
-    series index ``start_index + i``.
+    ``cell_values[c]`` is the value of the table's cell ``c``, and
+    ``transitions`` and ``counts`` are the table's own arrays, shared, not
+    copied, so a profile adds one float64 per cell.  ``values[i]`` belongs
+    to the transition whose `next` symbol sits at series index
+    ``start_index + i``.
     """
 
     measure: str
     k: int
-    values: np.ndarray
+    cell_values: np.ndarray
+    transitions: np.ndarray
+    counts: np.ndarray
     start_index: int
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
+        vals = np.ascontiguousarray(self.cell_values, dtype=np.float64)
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "cell_values", vals)
 
     def __len__(self) -> int:
-        return int(self.values.size)
+        return int(self.transitions.size)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The per-step values, gathered afresh on each read: a read-only
+        float64 array of 8 bytes per step."""
+        vals = _take(self.cell_values, self.transitions)
+        vals.setflags(write=False)
+        return vals
 
     @property
     def mean(self) -> float:
-        return float(self.values.mean())
+        """The mean over steps, as the count-weighted mean over cells."""
+        return float(self.counts @ self.cell_values / self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -149,8 +164,8 @@ def _check_measures(measures: Sequence[str], source) -> None:
 
 
 def _at_steps(cells: _Cells, measure: str, table: JointCountTable, k: int) -> LocalProfile:
-    """Values of ``measure`` over the table's time steps: each table cell's
-    code at history length k is looked up among the evaluated cells.
+    """The profile of ``measure`` over the table's time steps: each table
+    cell's code at history length k is looked up among the evaluated cells.
 
     AIS depends on (history, next) only, so it is looked up by that pair;
     the other measures by the whole cell.
@@ -173,7 +188,9 @@ def _at_steps(cells: _Cells, measure: str, table: JointCountTable, k: int) -> Lo
             f"observed transition (history={decode_history(h, k, nx)}, next={x}) has zero "
             f"probability under the supplied distribution ({what})"
         )
-    return LocalProfile(measure, k, _take(cells.values[measure][idx], table.transitions), table.start_index)
+    return LocalProfile(
+        measure, k, cells.values[measure][idx], table.transitions, table.counts, table.start_index
+    )
 
 
 def evaluate(
@@ -190,8 +207,7 @@ def evaluate(
     required, and may be any length from 1 to its own (|X|**K histories):
     the joint is then marginalised onto the last k history symbols.  Each
     average is the probability-weighted sum of the per-cell local values;
-    ``local`` attaches per-step profiles, which exist for count tables
-    only.
+    ``local`` attaches local profiles, which exist for count tables only.
     """
     _check_measures(measures, source)
     table = source if isinstance(source, JointCountTable) else None

@@ -412,21 +412,25 @@ class TestAnalyze:
         # more values than one write block, and not a multiple of it
         long = np.resize(values, 2 * _ROWS_PER_WRITE + 5)
         for array in (values, long, np.array([], dtype=np.float64)):
-            record = {"measure": "ais", "local": array, "start_index": 1}
+            # one cell per step
+            steps = np.arange(array.size, dtype=np.int32)
+            profile = infodyn.LocalProfile("ais", 1, array, steps, np.ones(array.size, dtype=np.int64), 1)
+            record = {"measure": "ais", "local": profile, "start_index": 1}
             out = io.StringIO()
-            _write_json_line(out, record, np.arange(array.size, dtype=np.int32))
+            _write_json_line(out, record)
             assert out.getvalue() == json.dumps({**record, "local": array.tolist()}) + "\n"
 
     def test_json_profile_formats_each_cell_once(self, monkeypatch):
         # many steps over four cells, holding 0.0, -0.0, NaN and 1/3
         cell_values = np.array([0.0, -0.0, np.nan, 1 / 3])
         steps = np.random.default_rng(3).integers(0, 4, 3 * _ROWS_PER_WRITE + 7).astype(np.int32)
-        record = {"measure": "ais", "local": cell_values[steps], "start_index": 2}
+        profile = infodyn.LocalProfile("ais", 1, cell_values, steps, np.bincount(steps, minlength=4), 2)
+        record = {"measure": "ais", "local": profile, "start_index": 2}
         formatted = []
         real_dumps = json.dumps
         monkeypatch.setattr(cli.json, "dumps", lambda v: formatted.append(v) or real_dumps(v))
         out = io.StringIO()
-        _write_json_line(out, record, steps)
+        _write_json_line(out, record)
         assert out.getvalue() == real_dumps({**record, "local": cell_values[steps].tolist()}) + "\n"
         assert sum(isinstance(v, float) for v in formatted) == 4
 

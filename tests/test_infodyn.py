@@ -542,6 +542,51 @@ class TestHeldOutLocals:
             local_ais(t, d)
 
 
+class TestLocalProfile:
+    """A profile holds one value per table cell and shares the table's step
+    index; its per-step values are gathered on each read."""
+
+    @staticmethod
+    def cases(rng):
+        lengths = (300, 120, 500)
+        pooled = count_joint(
+            [random_series(rng, n, 3) for n in lengths],
+            [random_series(rng, n, 2) for n in lengths],
+            EmbeddingConfig(2),
+        )
+        yield "pooled", pooled, evaluate(MEASURES, pooled, local=True)
+        lagged = count_joint(random_series(rng, 400, 3), random_series(rng, 400, 2), EmbeddingConfig(3, 2))
+        yield "input lag 2", lagged, evaluate(MEASURES, lagged, local=True)
+        # a k = 4 distribution is marginalised onto the k = 2 table
+        t = count_joint(random_series(rng, 400, 2), random_series(rng, 400, 3), EmbeddingConfig(2))
+        d = random_distribution(rng, 2, 3, 4)
+        yield "held out", t, [local_profile(m, t, d) for m in MEASURES]
+        deep = count_joint(random_series(rng, 600, 2), random_series(rng, 600, 2), EmbeddingConfig(5))
+        yield "shorter k", deep, evaluate(MEASURES, deep, k=2, local=True)
+
+    def test_values_gathered_from_cells(self, rng):
+        for name, t, results in self.cases(rng):
+            for r in results:
+                prof = getattr(r, "local", r)
+                assert np.shares_memory(prof.transitions, t.transitions), name
+                assert prof.cell_values.shape == t.cells.shape, name
+                values = prof.values
+                assert values.dtype == np.float64 and not values.flags.writeable, name
+                want = prof.cell_values[t.transitions.astype(np.intp)]
+                assert values.tobytes() == want.tobytes(), (name, prof.measure)
+                # each read is a fresh array
+                assert not np.shares_memory(values, prof.values)
+                with pytest.raises(ValueError):
+                    values[0] = 0.0
+
+    def test_mean_and_length_over_steps(self, rng):
+        for name, t, results in self.cases(rng):
+            for r in results:
+                prof = getattr(r, "local", r)
+                assert len(prof) == prof.values.size == t.total, name
+                assert prof.mean == pytest.approx(np.mean(prof.values), abs=1e-12), (name, prof.measure)
+
+
 class TestStepIndexDtype:
     """Each step's index into the table's cells is int32 below 2^31 cells;
     local values read through it are those int64 indices give."""

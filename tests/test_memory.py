@@ -23,7 +23,7 @@ from infostorage import (
     infodyn,
     simulate_unit,
 )
-from infostorage.cli import _write_csv_rows, _write_json_line
+from infostorage.cli import _load_series, _write_csv_rows, _write_json_line
 
 N = 10**6
 
@@ -82,19 +82,43 @@ def test_write_local_profile_budget():
     x = simulate_unit(UnitSpec("xor_memory"), u)
     table = count_joint(x, u, EmbeddingConfig(4))
     (res,) = infodyn.evaluate(["ais"], table, local=True)
-    record = {"measure": "ais", "local": res.local.values, "start_index": res.local.start_index}
-    assert peak_bytes_per_step(_write_json_line, io.StringIO(), record, table.transitions) < 26
+    record = {"measure": "ais", "local": res.local, "start_index": res.local.start_index}
+    assert peak_bytes_per_step(_write_json_line, io.StringIO(), record) < 26
 
 
 @pytest.mark.parametrize("measure", ["ais", "icais"])
 def test_local_profile_budget(measure):
-    # measured 8.07: the float64 profile itself; the int32 step index is
-    # cast to intp 2^13 steps at a time, so an intp copy of it (8 more
-    # bytes per step) breaks the bound
+    # measured 0.01: one float64 per cell (64 cells at k = 4 with an
+    # input) and the cell lookups; the profile shares the table's step
+    # index, so any array of one byte per step breaks the bound
     u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
     x = simulate_unit(UnitSpec("xor_memory"), u)
     table = count_joint(x, u, EmbeddingConfig(4))
-    assert peak_bytes_per_step(infodyn.local_profile, measure, table) < 10
+    assert peak_bytes_per_step(infodyn.local_profile, measure, table) < 1
+
+
+def test_local_profile_values_budget():
+    # measured 8.07: reading .values gathers the float64 profile itself;
+    # the int32 step index is cast to intp 2^13 steps at a time, so an intp
+    # copy of it (8 more bytes per step) breaks the bound
+    u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
+    x = simulate_unit(UnitSpec("xor_memory"), u)
+    profile = infodyn.local_profile("icais", count_joint(x, u, EmbeddingConfig(4)))
+    assert peak_bytes_per_step(lambda: profile.values) < 10
+
+
+def test_load_series_budget(tmp_path):
+    # measured 22.0 per row of an input,output file, while the second
+    # column is ranked: the parsed int64 block of both columns (16), that
+    # column's int32 ranks (4) and both uint8 series (2); a column is
+    # ranked from its view into the block, so a copy of it (8) breaks it
+    u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
+    x = simulate_unit(UnitSpec("xor_memory"), u)
+    path = tmp_path / "long.csv"
+    with path.open("w", newline="") as fh:
+        fh.write("input,output\n")
+        _write_csv_rows(fh, [u.data, x.data], [2, 2])
+    assert peak_bytes_per_step(_load_series, str(path), ["output"], ["input"]) < 26
 
 
 class _Discard(io.TextIOBase):
