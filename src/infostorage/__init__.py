@@ -35,9 +35,7 @@ from .procsim import (
     TableUnit,
     UnitSpec,
     build_joint_chain,
-    exact_joint,
     generate_input,
-    make_unit,
     oracle_joint,
     simulate_unit,
     stationary_distribution,
@@ -65,14 +63,12 @@ __all__ = [
     "compute",
     "count_joint",
     "evaluate",
-    "exact_joint",
     "generate_input",
     "icais",
     "interaction",
     "local_ais",
     "local_icais",
     "local_interaction",
-    "make_unit",
     "oracle_joint",
     "plugin_distribution",
     "simulate_unit",

@@ -515,6 +515,10 @@ def _analysis_plan(args) -> tuple[list[str], list[str], list[str], range]:
     measures = _measures(args.measure, bool(input_names))
     if args.input_lag < 0:
         raise UsageError("input_lag must be >= 0")
+    if args.input_lag and not input_names:
+        raise UsageError("--input-lag needs --input-col to name the input column")
+    if getattr(args, "local", False) and args.format == "csv":
+        raise UsageError("--local profiles are written as JSON; drop --format csv")
     return col_names, input_names, measures, _history_lengths(args)
 
 

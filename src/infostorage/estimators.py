@@ -40,10 +40,6 @@ class Distribution:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "axes", tuple(self.axes))
 
-    @property
-    def n_axes(self) -> int:
-        return len(self.axes)
-
 
 def plugin_distribution(table: JointCountTable) -> Distribution:
     """Maximum-likelihood (plug-in) distribution: counts / total, as a

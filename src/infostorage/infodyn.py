@@ -92,7 +92,7 @@ def _weighted_cells(source, k: int):
         codes, weights, total = source.cells, source.counts, source.total
         nx, nu, own_k, name = source.alphabet_x.size, source.n_inputs, source.k, "count table"
     elif isinstance(source, Distribution):
-        if source.n_axes != 3:
+        if source.probs.ndim != 3:
             raise ValueError("joint distribution must have (history, next, input) axes")
         nh, nx, nu = source.probs.shape
         own_k = round(math.log(nh, nx)) if nx > 1 else k

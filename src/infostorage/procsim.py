@@ -1,8 +1,9 @@
 """Input-process generators, table-driven units, and the exact oracle.
 
 Every unit is a ``TableUnit``, a finite-state transducer given by its
-(next_state, output) tables; ``make_unit`` returns the built-in units as
-such tables, and ``simulate_unit`` runs one vectorised kernel for all.
+(next_state, output) tables; a ``UnitSpec`` is a built-in unit, a
+``TableUnit`` whose tables its kind names, and ``simulate_unit`` runs one
+vectorised kernel for all.
 
 The oracle builds the Markov chain over composite (input symbol, unit
 state, last k outputs) states for any ``TableUnit``, held as sparse
@@ -111,18 +112,6 @@ def _draw_below(rng: np.random.Generator, p: float, out: np.ndarray) -> None:
         np.less(draws, p, out=out[i : i + _DRAW_CHUNK])
 
 
-@dataclass(frozen=True)
-class UnitSpec:
-    kind: str  # "forwarding" | "xor_memory"
-    initial_state: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("forwarding", "xor_memory"):
-            raise ValueError(f"unknown unit kind {self.kind!r}")
-        if self.kind == "xor_memory" and self.initial_state not in (0, 1):
-            raise ValueError("xor_memory initial state must be 0 or 1")
-
-
 class TableUnit:
     """A finite-state transducer given by explicit tables.
 
@@ -165,21 +154,23 @@ def _table(name: str, values) -> np.ndarray:
     return arr
 
 
-def make_unit(spec: UnitSpec) -> TableUnit:
-    """The built-in units as tables.  Forwarding has one state and emits
-    its input; xor_memory emits input XOR its state and keeps that output
-    as its next state."""
-    if spec.kind == "forwarding":
-        return TableUnit(next_state=[[0, 0]], output=[[0, 1]], n_outputs=2)
-    xor = [[0, 1], [1, 0]]
-    return TableUnit(xor, xor, n_outputs=2, initial_state=spec.initial_state)
+class UnitSpec(TableUnit):
+    """A built-in unit by name.  Forwarding has one state and emits its
+    input; xor_memory emits input XOR its state and keeps that output as
+    its next state."""
+
+    def __init__(self, kind: str, initial_state: int = 0):
+        if kind == "forwarding":
+            super().__init__([[0, 0]], [[0, 1]], n_outputs=2, initial_state=initial_state)
+        elif kind == "xor_memory":
+            xor = [[0, 1], [1, 0]]
+            super().__init__(xor, xor, n_outputs=2, initial_state=initial_state)
+        else:
+            raise ValueError(f"unknown unit kind {kind!r}")
+        self.kind = kind
 
 
-def _as_unit(unit: TableUnit | UnitSpec) -> TableUnit:
-    return make_unit(unit) if isinstance(unit, UnitSpec) else unit
-
-
-def simulate_unit(unit: TableUnit | UnitSpec, input_series: SymbolSeries) -> SymbolSeries:
+def simulate_unit(unit: TableUnit, input_series: SymbolSeries) -> SymbolSeries:
     """Run the unit over the whole input series; output has equal length.
 
     The unit steps through a word of w inputs per table lookup: a word
@@ -195,8 +186,12 @@ def simulate_unit(unit: TableUnit | UnitSpec, input_series: SymbolSeries) -> Sym
     true start state; the second pass replays every block from that state
     and records each word's (state, word) pair, whose output row is then
     gathered from the table.
+
+    The first pass costs O(N·S/w) for S unit states and holds an
+    n_blocks x S array, so a unit with many states is slow: at N = 1e6
+    with binary inputs on a 2-vCPU machine, S = 64 took 0.04 s, S = 1024
+    took 2.0 s and S = 4096 (w = 1) took 33 s and 250 MB.
     """
-    unit = _as_unit(unit)
     n_inputs = unit.input_alphabet.size
     if input_series.alphabet.size != n_inputs:
         raise ValueError(
@@ -296,9 +291,8 @@ class MarkovChainModel:
         return T
 
 
-def build_joint_chain(proc: ProcessSpec, unit: TableUnit | UnitSpec, k: int) -> MarkovChainModel:
+def build_joint_chain(proc: ProcessSpec, unit: TableUnit, k: int) -> MarkovChainModel:
     """Compose the input process law with the unit's deterministic update."""
-    unit = _as_unit(unit)
     if k < 1:
         raise ValueError("history length k must be >= 1")
     nu = unit.input_alphabet.size
@@ -364,8 +358,10 @@ def stationary_distribution(
     return Distribution((Alphabet(n),), pi / pi.sum())
 
 
-def exact_joint(model: MarkovChainModel) -> Distribution:
-    """Exact stationary joint p(history, next output, next input)."""
+def oracle_joint(proc: ProcessSpec, unit: TableUnit, k: int) -> Distribution:
+    """Exact stationary joint p(history, next output, next input) of the
+    unit driven by the process, over histories of k outputs."""
+    model = build_joint_chain(proc, unit, k)
     pi = stationary_distribution(model).probs
     nu = model.input_alphabet.size
     nx = model.output_alphabet.size
@@ -379,8 +375,3 @@ def exact_joint(model: MarkovChainModel) -> Distribution:
         (Alphabet(nh), model.output_alphabet, model.input_alphabet),
         p.reshape(nh, nx, nu),
     )
-
-
-def oracle_joint(proc: ProcessSpec, unit: TableUnit | UnitSpec, k: int) -> Distribution:
-    """Convenience: build the chain and return its exact joint."""
-    return exact_joint(build_joint_chain(proc, unit, k))

@@ -479,6 +479,9 @@ class TestAnalyze:
         ["sweep", "--k-range", "1:2", "--measure", "interaction"],
         ["analyze", "-k", "1", "--input-lag", "-1"],
         ["sweep", "--k-range", "1:2", "--input-lag", "-1"],
+        ["analyze", "-k", "1", "--local", "--format", "csv"],
+        ["analyze", "-k", "1", "--input-lag", "3"],
+        ["sweep", "--k-range", "1:2", "--input-lag", "1"],
     ])
     def test_usage_checked_before_ingest(self, tmp_path, capsys, argv):
         # the file does not exist: reading it first would be a data error
@@ -741,10 +744,11 @@ class TestOracle:
 
     def test_k_range_over_state_limit_fails_before_solving(self, capsys, monkeypatch):
         calls = []
+        solve = procsim.oracle_joint
 
         def counting(proc, unit, k):
             calls.append(k)
-            return procsim.exact_joint(procsim.build_joint_chain(proc, unit, k))
+            return solve(proc, unit, k)
 
         monkeypatch.setattr(procsim, "oracle_joint", counting)
         code, out, err = run(

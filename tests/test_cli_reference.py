@@ -5,7 +5,8 @@ against its own reference elsewhere: the byte tokenizer, the rank relabel,
 narrow cell codes, dense and sorted ranks, chunked gathers and the per-cell
 JSON writer.  Here their composition runs through ``cli.main`` and is
 compared, field by field, with values computed from ``csv``, dict counts and
-``math.log2``.
+``math.log2``.  A file the reference rejects must end in exit code 2 with
+one JSON data error.
 """
 
 import contextlib
@@ -25,10 +26,17 @@ TOL = 1e-12
 
 
 def reference_columns(path):
+    """The file's columns by name; ValueError unless every line after the
+    header has one symbol, from 0 to 2^63 - 1, per column."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
     header = [name.strip() for name in rows[0]]
-    return {name: [int(row[i]) for row in rows[1:]] for i, name in enumerate(header)}
+    body = [[int(cell) for cell in row] for row in rows[1:]]
+    if not body or any(len(row) != len(header) for row in body):
+        raise ValueError("no rows, or a row with the wrong number of fields")
+    if not all(0 <= v < 2**63 for row in body for v in row):
+        raise ValueError("a symbol outside 0..2^63 - 1")
+    return {name: [row[i] for row in body] for i, name in enumerate(header)}
 
 
 def reference_measures(xs, us, k, lag, k_count):
@@ -67,6 +75,17 @@ def reference_measures(xs, us, k, lag, k_count):
 # only the per-cell parser reads.
 FAST_FIELDS = ["{}", "{}", " {}", "{} ", "+{}"]
 CELL_FIELDS = FAST_FIELDS + ["\t{}", '"{}"']
+# A corrupted cell, or the extra field of a ragged row, is spelled in the
+# tokenizer's grammar or with a tab or quotes, so that each parser sees it.
+BAD_FIELDS = ["{}", " {}", "\t{}", '"{}"']
+BAD_VALUES = {
+    "negative symbol": st.integers(-(2**63), -1),
+    "non-integer": st.sampled_from(["x", "1.5", "1e3", "--1", "1 2", "0x1"]),
+    # 19 digits, as the tokenizer reads, or more, as only the per-cell parser does
+    "beyond int64": (st.integers(2**63, 10**19 - 1) | st.integers(1 - 10**19, -(2**63) - 1)
+                     | st.integers(10**19, 10**30)),
+}
+CORRUPTIONS = [*BAD_VALUES, "ragged row", "no rows"]
 
 
 @st.composite
@@ -86,23 +105,37 @@ def csv_files(draw):
     fields = draw(st.sampled_from([FAST_FIELDS, CELL_FIELDS]))
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     names = [f"x{i}" for i in range(n_cols)] + [f"u{i}" for i in range(n_inputs)]
+    rows = [[draw(st.sampled_from(fields)).format(v) for v in row]
+            for row in zip(*groups[0], *groups[1])]
+    corrupt = draw(st.sampled_from([None] * 4 + CORRUPTIONS))
+    if corrupt in BAD_VALUES:
+        row = rows[draw(st.integers(0, n_rows - 1))]
+        value = draw(BAD_VALUES[corrupt])
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_FIELDS)).format(value)
+    elif corrupt == "ragged row":
+        row = rows[draw(st.integers(0, n_rows - 1))]
+        if len(row) > 1 and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(st.sampled_from(BAD_FIELDS)).format(0))
+    elif corrupt == "no rows":
+        rows = []
     lines = [",".join(names)]
-    for row in zip(*groups[0], *groups[1]):
-        lines.append(",".join(draw(st.sampled_from(fields)).format(v) for v in row))
+    for row in rows:
+        lines.append(",".join(row))
         if draw(st.integers(0, 9)) == 0:
             lines.append("")
     text = eol.join(lines) + (eol if draw(st.booleans()) else "")
     k_max = draw(st.integers(1, 3))
     lag = draw(st.integers(0, 2)) if n_inputs else 0
-    return text, names[:n_cols], names[n_cols:], k_max, lag
+    return text, names[:n_cols], names[n_cols:], k_max, lag, corrupt
 
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
-    assert code == 0, err.getvalue()
-    return out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def close(a, b):
@@ -111,12 +144,12 @@ def close(a, b):
 
 def test_cli_matches_reference(tmp_path):
     path = tmp_path / "data.csv"
-    reached = set()
+    reached, parsed_by = set(), set()
     real_fast, real_rank = cli._read_csv_fast, symseq._rank_codes
 
     def fast(p):
         parsed = real_fast(p)
-        reached.add("tokenizer" if parsed is not None else "cell parser")
+        parsed_by.add("tokenizer" if parsed is not None else "cell parser")
         return parsed
 
     def ranks(stage):
@@ -125,23 +158,46 @@ def test_cli_matches_reference(tmp_path):
             return real_rank(codes, space)
         return spy
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(csv_files())
     # a tab sends the file to the per-cell parser; few symbols over many
     # rows rank densely, sparse ones over few rows by sorting
-    @example(("x0,u0\n0,1\n1,\t0\n1,1\n0,0\n1,0\n0,1\n1,1\n0,0\n", ["x0"], ["u0"], 1, 0))
-    @example(("a\r\n5\r\n900\r\n5\r\n\r\n77\r\n900\r\n5\r\n5\r\n77\r\n", ["a"], [], 3, 0))
+    @example(("x0,u0\n0,1\n1,\t0\n1,1\n0,0\n1,0\n0,1\n1,1\n0,0\n", ["x0"], ["u0"], 1, 0, None))
+    @example(("a\r\n5\r\n900\r\n5\r\n\r\n77\r\n900\r\n5\r\n5\r\n77\r\n", ["a"], [], 3, 0, None))
+    # a negative symbol that the tokenizer reads, and one it leaves to the
+    # per-cell parser
+    @example(("x0\n1\n-2\n1\n0\n", ["x0"], [], 1, 0, "negative symbol"))
+    @example(("x0\n1\n\t-2\n1\n0\n", ["x0"], [], 1, 0, "negative symbol"))
+    # -2^63 - 1, which would wrap to the symbol 2^63 - 1 in 64 bits
+    @example(("x0\n1\n-9223372036854775809\n1\n0\n", ["x0"], [], 1, 0, "beyond int64"))
     def check(case):
-        text, cols, inputs, k_max, lag = case
+        text, cols, inputs, k_max, lag, corrupt = case
         path.write_bytes(text.encode())
-        data = reference_columns(path)
-        xs = [data[c] for c in cols]
-        us = [data[c] for c in inputs] * (len(cols) if len(inputs) == 1 else 1)
+        parsed_by.clear()
         common = ["--data", str(path), "--cols", ",".join(cols), "--input-lag", str(lag)]
         if inputs:
             common += ["--input-col", ",".join(inputs)]
+        analyze = ["analyze", *common, "-k", str(k_max), "--local"]
+        sweep = ["sweep", *common, "--k-range", f"1:{k_max}"]
+        try:
+            data = reference_columns(path)
+        except ValueError:
+            assert corrupt is not None
+            for argv in (analyze, sweep):
+                code, out, err = run_cli(*argv)
+                assert (code, out) == (2, "")
+                [line] = err.splitlines()
+                assert json.loads(line)["error"] == "data"
+            reached.update(f"rejected by {parser}" for parser in parsed_by)
+            reached.add(corrupt)
+            return
+        assert corrupt is None
+        xs = [data[c] for c in cols]
+        us = [data[c] for c in inputs] * (len(cols) if len(inputs) == 1 else 1)
 
-        lines = run_cli("analyze", *common, "-k", str(k_max), "--local").splitlines()
+        code, out, err = run_cli(*analyze)
+        assert code == 0, err
+        lines = out.splitlines()
         records = [json.loads(line) for line in lines]
         # each line is as json.dumps writes it
         assert lines == [json.dumps(r) for r in records]
@@ -154,7 +210,10 @@ def test_cli_matches_reference(tmp_path):
             assert close(r["average_bits"], average)
             assert all(close(a, b) for a, b in zip(r["local"], local))
 
-        rows = list(csv.reader(io.StringIO(run_cli("sweep", *common, "--k-range", f"1:{k_max}"))))
+        code, out, err = run_cli(*sweep)
+        assert code == 0, err
+        reached.update(parsed_by)
+        rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["measure", "k", "average_bits", "n_transitions"]
         expected = [(k, m, v) for k in range(1, k_max + 1)
                     for m, v in reference_measures(xs, us, k, lag, k_max).items()]
@@ -172,4 +231,5 @@ def test_cli_matches_reference(tmp_path):
             mock.patch.multiple(symseq, _COUNT_CHUNK=5, _TAKE_CHUNK=3), \
             mock.patch.multiple(cli, _CSV_CHUNK=7, _ROWS_PER_WRITE=4):
         check()
-    assert reached == {"tokenizer", "cell parser", "ingest dense", "ingest sort", "count dense", "count sort"}
+    assert reached == {"tokenizer", "cell parser", "ingest dense", "ingest sort", "count dense",
+                       "count sort", "rejected by tokenizer", "rejected by cell parser", *CORRUPTIONS}

@@ -14,9 +14,7 @@ from infostorage import (
     UnitSpec,
     build_joint_chain,
     count_joint,
-    exact_joint,
     generate_input,
-    make_unit,
     oracle_joint,
     plugin_distribution,
     simulate_unit,
@@ -144,7 +142,7 @@ class TestSimulateUnit:
         for init in (0, 1):
             spec = UnitSpec("xor_memory", initial_state=init)
             fast = simulate_unit(spec, u).data
-            assert fast.tolist() == step_loop(make_unit(spec), u.data)
+            assert fast.tolist() == step_loop(spec, u.data)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17, 99, 1000, 1001])
     def test_kernel_matches_step_loop_at_any_length(self, n):
@@ -168,7 +166,7 @@ class TestSimulateUnit:
         u = SymbolSeries(BINARY, rng.integers(0, 2, n))
         for init in (0, 1):
             spec = UnitSpec("xor_memory", initial_state=init)
-            assert simulate_unit(spec, u).data.tolist() == step_loop(make_unit(spec), u.data)
+            assert simulate_unit(spec, u).data.tolist() == step_loop(spec, u.data)
         # 4 states and 2 inputs: w = 10
         unit = random_table_unit(rng, 4, 2, 3)
         assert simulate_unit(unit, u).data.tolist() == step_loop(unit, u.data)
@@ -297,9 +295,21 @@ class TestTableUnitValidation:
             TableUnit(next_state=[[0, 0]], output=[[0, 1, 1]], n_outputs=2)
 
     def test_tables_are_read_only(self):
-        unit = make_unit(UnitSpec("xor_memory"))
+        unit = UnitSpec("xor_memory")
         with pytest.raises(ValueError):
             unit.next_state[0, 0] = 1
+
+    @pytest.mark.parametrize("kind, n_states", [("forwarding", 1), ("xor_memory", 2)])
+    def test_built_in_units_are_table_units(self, kind, n_states):
+        unit = UnitSpec(kind, initial_state=n_states - 1)
+        assert isinstance(unit, TableUnit)
+        assert (unit.kind, unit.n_states, unit.initial_state) == (kind, n_states, n_states - 1)
+        with pytest.raises(ValueError, match="initial state out of range"):
+            UnitSpec(kind, initial_state=n_states)
+
+    def test_unknown_unit_kind(self):
+        with pytest.raises(ValueError, match="unknown unit kind"):
+            UnitSpec("delay")
 
 
 class TestJointChain:
