@@ -29,7 +29,6 @@ from .infodyn import (
     local_interaction,
 )
 from .procsim import (
-    ConvergenceError,
     MarkovChainModel,
     ProcessSpec,
     TableUnit,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet",
     "BINARY",
-    "ConvergenceError",
     "Distribution",
     "EmbeddingConfig",
     "JointCountTable",

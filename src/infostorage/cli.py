@@ -1,6 +1,6 @@
 """Command-line surface: data generation, analysis, k-sweeps, oracle queries.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 out of memory.
 Errors are emitted as JSON on stderr.
 """
 
@@ -11,6 +11,7 @@ import csv
 import json
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,8 @@ def _parse_params(rest: str, original: str) -> dict[str, str]:
         key, sep, value = item.partition("=")
         if not sep or not key or not value:
             raise ValueError(f"malformed spec parameter {item!r} in {original!r}")
+        if key in params:
+            raise ValueError(f"repeated spec parameter {key!r} in {original!r}")
         params[key] = value
     return params
 
@@ -527,6 +530,10 @@ def _load_series(path: str, col_names: list[str], input_names: list[str]):
     missing = [c for c in col_names + input_names if c not in data]
     if missing:
         raise DataError(f"missing column(s) {missing}; file has {columns}")
+    counts = Counter(columns)
+    repeated = sorted({c for c in col_names + input_names if counts[c] > 1})
+    if repeated:
+        raise DataError(f"column(s) {repeated} occur more than once in the header of {path}")
     xs = _series_from_columns(data, col_names)
     if not input_names:
         return xs, None
@@ -593,9 +600,6 @@ def main(argv=None) -> int:
     except DataError as e:
         _emit_error("data", str(e))
         return EXIT_DATA
-    except procsim.ConvergenceError as e:
-        _emit_error("numerical", str(e))
-        return EXIT_NUMERICAL
     except MemoryError:
         size = "--n" if args is not None and args.command == "generate" else "k"
         _emit_error("numerical", f"out of memory; reduce {size}")

@@ -8,9 +8,10 @@ vectorised kernel for all.
 The oracle builds the Markov chain over composite (input symbol, unit
 state, last k outputs) states for any ``TableUnit``, held as sparse
 successor and probability arrays of size states x |U|.  Its stationary
-distribution projects onto the exact joint p(history, next output, next
-input) that the storage measures consume, which yields analytic values
-with no sampling at all.
+distribution, solved on the small (input, unit state) chain and carried k
+steps along the full one, projects onto the exact joint p(history, next
+output, next input) that the storage measures consume, which yields
+analytic values with no sampling at all.
 
 Pseudorandom generation uses numpy's Philox counter-based generator,
 seeded directly with the integer seed, so identical seeds give identical
@@ -29,6 +30,11 @@ from .symseq import BINARY, Alphabet, SymbolSeries, _integer_array, _symbol_dtyp
 
 STATE_SPACE_LIMIT = 2**20
 
+# stationary_distribution's pair chain: its size limit and its stop rule.
+PAIR_LIMIT = 2**10
+_MAX_SQUARINGS = 64
+_SQUARING_TOL = 1e-12
+
 # simulate_unit's word table has at most _WORD_CELLS (state, word) pairs,
 # and a word at most _WORD_MAX inputs, which bounds a one-symbol input.
 _WORD_CELLS = 2**12
@@ -36,18 +42,6 @@ _WORD_MAX = 16
 
 # Uniform draws made per call by generate_input.
 _DRAW_CHUNK = 2**16
-
-
-class ConvergenceError(RuntimeError):
-    """Stationary-distribution iteration failed to reach tolerance."""
-
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(
-            f"power iteration did not converge: residual {residual:.3e} "
-            f"after {iterations} iterations"
-        )
-        self.residual = residual
-        self.iterations = iterations
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -327,34 +321,37 @@ def build_joint_chain(proc: ProcessSpec, unit: TableUnit, k: int) -> MarkovChain
     )
 
 
-def stationary_distribution(
-    model: MarkovChainModel, tol: float = 1e-12, max_iter: int = 10**6
-) -> Distribution:
+def stationary_distribution(model: MarkovChainModel) -> Distribution:
     """Stationary distribution over the model's composite states.
 
-    Power iteration on the lazy chain (I + T)/2, which shares T's
-    stationary distributions and converges even for periodic chains.  It
-    starts uniform on the states that some move reaches, which the chain
-    never leaves, so no mass lingers on states only an initial condition
-    can occupy (for xor, a unit state other than the last output).  Each
-    step is one bincount over the successor arrays: O(states * |U|).
+    The (input, unit state) pair never reads the output history, so it is
+    a chain L of its own, read off the rows with h = 0.  The limit of its
+    lazy matrix (I + L)/2, which exists even for periodic L, is found by
+    squaring (rows renormalised after each product) and maps the pair
+    marginal of the uniform law on the reached states: no mass stays where
+    only an initial condition puts it.  Spread over the histories, that
+    marginal takes k bincount steps of the full chain, which overwrite
+    every history digit.  A product costs O((|U|·S)^3), so |U|·S is
+    limited to ``PAIR_LIMIT``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     n = model.n_states
-    successor = model.successor.ravel()
-    v = np.bincount(successor, minlength=n) > 0
-    v = v / v.sum()
-    residual = np.inf
-    for _ in range(max_iter):
-        vt = np.bincount(successor, weights=(v[:, None] * model.prob).ravel(), minlength=n)
-        residual = float(np.abs(vt - v).sum())
-        if residual < tol:
+    nh = model.output_alphabet.size ** model.k
+    pairs = n // nh
+    if pairs > PAIR_LIMIT:
+        raise ValueError(f"(input, unit state) chain of {pairs} states exceeds the limit {PAIR_LIMIT}")
+    cell = np.arange(pairs)[:, None] * pairs + model.successor[::nh] // nh
+    lazy = np.bincount(cell.ravel(), weights=model.prob[::nh].ravel(), minlength=pairs * pairs)
+    lazy = 0.5 * (lazy.reshape(pairs, pairs) + np.eye(pairs))
+    for _ in range(_MAX_SQUARINGS):
+        lazy, last = lazy @ lazy, lazy
+        lazy /= lazy.sum(axis=1, keepdims=True)
+        if np.abs(lazy - last).max() <= _SQUARING_TOL:
             break
-        v = 0.5 * (v + vt)
-    else:
-        raise ConvergenceError(residual, max_iter)
-    pi = np.clip(v, 0.0, None)
+    successor = model.successor.ravel()
+    reached = np.bincount(successor, minlength=n) > 0
+    pi = np.repeat(reached.reshape(pairs, nh).sum(axis=1) @ lazy, nh)
+    for _ in range(model.k if nh > 1 else 0):
+        pi = np.bincount(successor, weights=(pi[:, None] * model.prob).ravel(), minlength=n)
     return Distribution((Alphabet(n),), pi / pi.sum())
 
 

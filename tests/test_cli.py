@@ -150,10 +150,11 @@ class TestSpecParsing:
 
     def test_malformed_specs(self):
         for bad in ("bernoulli", "bernoulli:q=1", "markov:p=0.5", "gauss:p=1", "bernoulli:p",
-                    "markov:p_stay=1.0", "bernoulli:p=abc"):
+                    "markov:p_stay=1.0", "bernoulli:p=abc", "bernoulli:p=0.5,p=0.9"):
             with pytest.raises(ValueError, match=re.escape(repr(bad))):
                 _parse_process_spec(bad)
-        for bad in ("xor:init", "forwarding:x=1", "nand", "xor:init=2", "xor:init=abc"):
+        for bad in ("xor:init", "forwarding:x=1", "nand", "xor:init=2", "xor:init=abc",
+                    "xor:init=0,init=1"):
             with pytest.raises(ValueError, match=re.escape(repr(bad))):
                 _parse_unit_spec(bad)
 
@@ -216,6 +217,18 @@ class TestAnalyze:
         )
         assert code == 2
         assert "nope" in json.loads(err)["message"]
+
+    # the first body is in the fast grammar, the second (a tab) is not
+    @pytest.mark.parametrize("body", ["0,1,0,1\n1,0,1,1\n", "0,1,0,1\n1,0,1,\t1\n"])
+    def test_repeated_requested_column_is_data_error(self, tmp_path, capsys, body):
+        p = tmp_path / "dup.csv"
+        p.write_text("a,a,u,u\n" + body)
+        code, _, err = run(
+            capsys, "analyze", "--data", str(p), "--measure", "icais", "-k", "1",
+            "--cols", "a", "--input-col", "u",
+        )
+        assert code == 2
+        assert "['a', 'u']" in json.loads(err)["message"]
 
     def test_non_integer_cell_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"

@@ -13,11 +13,16 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+# The warning policy of pyproject.toml's pytest settings, for the child.
+WARNINGS_AS_ERRORS = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+                      "-W", "error::FutureWarning"]
+
+
 def run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args],
+        [sys.executable, *WARNINGS_AS_ERRORS, *args],
         cwd=cwd,
         env=env,
         capture_output=True,

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from infostorage import (
     BINARY,
     Alphabet,
-    ConvergenceError,
     EmbeddingConfig,
     ProcessSpec,
     SymbolSeries,
@@ -20,7 +19,7 @@ from infostorage import (
     simulate_unit,
     stationary_distribution,
 )
-from infostorage.procsim import STATE_SPACE_LIMIT
+from infostorage.procsim import PAIR_LIMIT, STATE_SPACE_LIMIT
 
 
 def step_loop(unit, u):
@@ -47,6 +46,22 @@ def strongly_connected(unit):
     for _ in range(unit.n_states):
         reach = reach | (reach.astype(int) @ reach.astype(int) > 0)
     return bool(reach.all())
+
+
+def power_iteration(model, tol=1e-12, max_iter=10**6):
+    """Reference stationary law: power iteration on the lazy chain
+    (I + T)/2 from the uniform law on the states some move reaches, until
+    an L1 step falls below tol."""
+    n = model.n_states
+    successor = model.successor.ravel()
+    v = np.bincount(successor, minlength=n) > 0
+    v = v / v.sum()
+    for _ in range(max_iter):
+        vt = np.bincount(successor, weights=(v[:, None] * model.prob).ravel(), minlength=n)
+        if np.abs(vt - v).sum() < tol:
+            return vt
+        v = 0.5 * (v + vt)
+    raise AssertionError("power iteration did not converge")
 
 
 def cells_within_binomial_bound(exact, table):
@@ -426,18 +441,41 @@ class TestStationary:
                     ref, *_ = np.linalg.lstsq(A, b, rcond=None)
                     assert np.abs(pi - ref).sum() < 1e-9
 
-    def test_nonconvergence_reports_residual(self):
-        m = build_joint_chain(ProcessSpec("bernoulli", p=0.3), UnitSpec("forwarding"), 1)
-        with pytest.raises(ConvergenceError) as err:
-            stationary_distribution(m, tol=1e-12, max_iter=3)
-        assert err.value.residual > 0
-        assert err.value.iterations == 3
+    def test_matches_power_iteration_on_random_units(self):
+        rng = np.random.default_rng(18)
+        procs = [ProcessSpec("markov_binary", p_stay=q) for q in (0.3, 0.7, 0.9)]
+        procs += [ProcessSpec("bernoulli", p=p) for p in (0.0, 0.2, 0.5, 1.0)]
+        for _ in range(200):
+            unit = random_table_unit(rng, int(rng.integers(1, 7)), 2, int(rng.integers(1, 4)))
+            proc = procs[rng.integers(len(procs))]
+            m = build_joint_chain(proc, unit, int(rng.integers(1, 8)))
+            ref = power_iteration(m)
+            assert np.abs(stationary_distribution(m).probs - ref).sum() < 1e-10
 
-    def test_tol_must_be_positive(self):
-        m = build_joint_chain(ProcessSpec("bernoulli", p=0.5), UnitSpec("forwarding"), 1)
-        for tol in (0.0, -1e-12):
-            with pytest.raises(ValueError):
-                stationary_distribution(m, tol=tol)
+    def test_slowly_mixing_pair_chain_matches_linear_solve(self):
+        # under markov(0.999) power iteration takes ~1e5 steps here and
+        # stops about 1e-9 from the balance-equation solve
+        rng = np.random.default_rng(3)
+        unit = random_table_unit(rng, 6, 2, 2)
+        while not strongly_connected(unit):
+            unit = random_table_unit(rng, 6, 2, 2)
+        m = build_joint_chain(ProcessSpec("markov_binary", p_stay=0.999), unit, 8)
+        nh = 2**8
+        pairs = m.n_states // nh
+        L = np.zeros((pairs, pairs))
+        np.add.at(L, (np.arange(pairs)[:, None], m.successor[::nh] // nh), m.prob[::nh])
+        A = np.vstack([L.T - np.eye(pairs), np.ones(pairs)])
+        b = np.zeros(pairs + 1)
+        b[-1] = 1.0
+        ref, *_ = np.linalg.lstsq(A, b, rcond=None)
+        marginal = stationary_distribution(m).probs.reshape(pairs, nh).sum(axis=1)
+        assert np.abs(marginal - ref).sum() < 1e-11
+
+    def test_pair_chain_limit(self):
+        unit = TableUnit(np.zeros((513, 2), dtype=int), np.zeros((513, 2), dtype=int), n_outputs=2)
+        m = build_joint_chain(ProcessSpec("bernoulli", p=0.5), unit, 1)
+        with pytest.raises(ValueError, match=str(PAIR_LIMIT)):
+            stationary_distribution(m)
 
 
 class TestExactJoint:
