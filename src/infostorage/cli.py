@@ -506,6 +506,9 @@ def _analysis_plan(args) -> tuple[list[str], list[str], list[str], range]:
     col_names = [c.strip() for c in args.cols.split(",") if c.strip()]
     if not col_names:
         raise UsageError("--cols must name at least one column")
+    repeated = sorted(c for c, n in Counter(col_names).items() if n > 1)
+    if repeated:
+        raise UsageError(f"--cols names column(s) {repeated} more than once")
     input_names = (
         [c.strip() for c in args.input_col.split(",") if c.strip()]
         if args.input_col

@@ -176,8 +176,6 @@ def _at_steps(cells: _Cells, measure: str, table: JointCountTable, k: int) -> Lo
         keys, queries = cells.codes // cells.n_inputs, codes // nu
         what = "p(history, next)"
     else:
-        if cells.n_inputs != nu:
-            raise ValueError("distribution and count table have different input alphabets")
         keys, queries = cells.codes, codes
         what = "p(history, next, input)"
     idx = np.minimum(np.searchsorted(keys, queries), keys.size - 1)
@@ -255,15 +253,19 @@ def local_profile(measure: str, table: JointCountTable, dist: Distribution | Non
     ``dist`` defaults to the plug-in distribution of the same table;
     passing a separately estimated (or exact) distribution gives held-out
     local values; its history may be longer than the table's, and is then
-    marginalised onto the table's k.
+    marginalised onto the table's k.  Its next axis must be the table's |X|
+    and, except for AIS, which reads p(history, next) only, its input axis
+    the table's |U|.
     """
     if not isinstance(table, JointCountTable):
         raise TypeError("local profiles need an empirical count table")
     _check_measures([measure], table)
     if dist is None:
         return evaluate([measure], table, local=True)[0].local
-    if dist.probs.shape[1:2] != (table.alphabet_x.size,):
-        raise ValueError("distribution's next axis does not match the count table's alphabet")
+    axes = (table.alphabet_x.size, table.n_inputs)[: 1 if measure == "ais" else 2]
+    if dist.probs.shape[1 : 1 + len(axes)] != axes:
+        raise ValueError(f"{measure!r} needs a distribution with (next, input) axes {axes}, "
+                         f"not {dist.probs.shape[1:3]}")
     return _at_steps(_evaluate(dist, table.k), measure, table, table.k)
 
 

@@ -263,13 +263,12 @@ class MarkovChainModel:
     input u' the chain moves deterministically, so it is stored sparsely:
     ``successor[i, u']`` is the state that state i moves to on input u',
     and ``prob[i, u']`` = P(u' | u) is the probability of that move.  Both
-    are (states x |U|) arrays.  ``transition`` builds the dense
-    row-stochastic states x states matrix anew on each access; it is meant
-    for checks on small chains.
+    are (states x |U|) arrays, so |U| is ``successor.shape[1]``.
+    ``transition`` builds the dense row-stochastic states x states matrix
+    anew on each access; it is meant for checks on small chains.
     """
 
     k: int
-    input_alphabet: Alphabet
     output_alphabet: Alphabet
     successor: np.ndarray
     prob: np.ndarray
@@ -314,7 +313,6 @@ def build_joint_chain(proc: ProcessSpec, unit: TableUnit, k: int) -> MarkovChain
     shape = (nu, ns, nh, nu)
     return MarkovChainModel(
         k=k,
-        input_alphabet=unit.input_alphabet,
         output_alphabet=unit.output_alphabet,
         successor=np.broadcast_to(head + tail, shape).reshape(n_states, nu),
         prob=np.broadcast_to(pu[:, None, None, :], shape).reshape(n_states, nu),
@@ -352,7 +350,7 @@ def stationary_distribution(model: MarkovChainModel) -> Distribution:
     pi = np.repeat(reached.reshape(pairs, nh).sum(axis=1) @ lazy, nh)
     for _ in range(model.k if nh > 1 else 0):
         pi = np.bincount(successor, weights=(pi[:, None] * model.prob).ravel(), minlength=n)
-    return Distribution((Alphabet(n),), pi / pi.sum())
+    return Distribution(pi / pi.sum())
 
 
 def oracle_joint(proc: ProcessSpec, unit: TableUnit, k: int) -> Distribution:
@@ -360,7 +358,7 @@ def oracle_joint(proc: ProcessSpec, unit: TableUnit, k: int) -> Distribution:
     unit driven by the process, over histories of k outputs."""
     model = build_joint_chain(proc, unit, k)
     pi = stationary_distribution(model).probs
-    nu = model.input_alphabet.size
+    nu = model.successor.shape[1]
     nx = model.output_alphabet.size
     nh = nx**model.k
     # the next output is the last history digit of the successor state
@@ -368,7 +366,4 @@ def oracle_joint(proc: ProcessSpec, unit: TableUnit, k: int) -> Distribution:
     cell = (history * nx + model.successor % nx) * nu + np.arange(nu)
     p = np.bincount(cell.ravel(), weights=(pi[:, None] * model.prob).ravel(), minlength=nh * nx * nu)
     p /= p.sum()
-    return Distribution(
-        (Alphabet(nh), model.output_alphabet, model.input_alphabet),
-        p.reshape(nh, nx, nu),
-    )
+    return Distribution(p.reshape(nh, nx, nu))

@@ -495,12 +495,40 @@ class TestAnalyze:
         ["analyze", "-k", "1", "--local", "--format", "csv"],
         ["analyze", "-k", "1", "--input-lag", "3"],
         ["sweep", "--k-range", "1:2", "--input-lag", "1"],
+        ["analyze", "-k", "1", "--cols", "a,a"],
+        ["sweep", "--k-range", "1:2", "--cols", "a,b,a", "--input-col", "u"],
+        ["analyze", "-k", "1", "--measure", "bogus"],
+        ["analyze", "-k", "x"],
+        ["sweep", "--k-range", "a:b"],
     ])
     def test_usage_checked_before_ingest(self, tmp_path, capsys, argv):
         # the file does not exist: reading it first would be a data error
-        code, _, err = run(capsys, *argv, "--data", str(tmp_path / "absent.csv"))
-        assert code == 1
+        code, out, err = run(capsys, *argv, "--data", str(tmp_path / "absent.csv"))
+        assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "usage"
+
+    @pytest.mark.parametrize("argv", [
+        ["bogus"],
+        ["analyze", "-k", "1"],
+        ["oracle", "--process", "bernoulli:p=0.5", "--unit", "xor", "-k", "1", "--k-range", "1:2"],
+        ["oracle", "--process", "bernoulli:p=0.5", "--unit", "xor:seed=1", "-k", "1"],
+    ], ids=["unknown-command", "no-data", "k-and-k-range", "unknown-xor-parameter"])
+    def test_argument_errors_are_one_usage_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "usage"
+
+    def test_repeated_input_col_pairs_with_each_output(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        p = tmp_path / "pair.csv"
+        p.write_text("u,a,b\n" + "".join(",".join(map(str, r)) + "\n" for r in rng.integers(0, 2, (200, 3))))
+        outs = []
+        for input_col in ("u,u", "u"):
+            code, out, err = run(capsys, "analyze", "--data", str(p), "-k", "2", "--cols", "a,b",
+                                 "--input-col", input_col)
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 def _read_outcome(path):

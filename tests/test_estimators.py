@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from infostorage import (
-    Alphabet,
     BINARY,
     Distribution,
     EmbeddingConfig,
@@ -13,23 +12,14 @@ from infostorage import (
 from conftest import random_series
 
 
-def dist(probs):
-    probs = np.asarray(probs, dtype=float)
-    return Distribution(tuple(Alphabet(s) for s in probs.shape), probs)
-
-
 class TestDistribution:
     def test_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            dist([0.5, 0.4])
+            Distribution([0.5, 0.4])
 
     def test_must_be_nonnegative(self):
         with pytest.raises(ValueError):
-            dist([1.5, -0.5])
-
-    def test_shape_must_match_axes(self):
-        with pytest.raises(ValueError):
-            Distribution((Alphabet(3),), np.array([0.5, 0.5]))
+            Distribution([1.5, -0.5])
 
 
 class TestPluginDistribution:

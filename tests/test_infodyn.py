@@ -4,7 +4,6 @@ import pytest
 from infostorage import (
     BINARY,
     MEASURES,
-    Alphabet,
     Distribution,
     EmbeddingConfig,
     JointCountTable,
@@ -314,12 +313,12 @@ class TestSweepK:
                     evaluate(MEASURES, joint, k=k)
         with pytest.raises(ValueError, match="k must be given"):
             evaluate(MEASURES, joint)
-        six = Distribution((Alphabet(6), BINARY, BINARY), np.full((6, 2, 2), 1 / 24))
+        six = Distribution(np.full((6, 2, 2), 1 / 24))
         for k in (1, 2, 3):
             with pytest.raises(ValueError, match="6 histories"):
                 evaluate(MEASURES, six, k=k)
         # with |X| = 1 every history length has the one history
-        flat = Distribution((Alphabet(1), Alphabet(1), BINARY), [[[0.25, 0.75]]])
+        flat = Distribution([[[0.25, 0.75]]])
         for k in (1, 5):
             assert [r.average_bits for r in evaluate(MEASURES, flat, k=k)] == [0.0] * 3
 
@@ -339,6 +338,10 @@ class TestSweepK:
         table = count_joint(random_series(rng, 100, 2), None, EmbeddingConfig(2))
         with pytest.raises(ValueError):
             evaluate(["nope"], table, k=1)
+        with pytest.raises(ValueError, match="history, next, input"):
+            evaluate(["ais"], Distribution([0.5, 0.5]), k=1)
+        with pytest.raises(TypeError, match="JointCountTable or Distribution"):
+            evaluate(["ais"], [[[0.5, 0.5]]], k=1)
 
     def test_empirical_sweep_runs(self):
         u = generate_input(U2, 20_000)
@@ -376,12 +379,6 @@ def entropy_reference(d):
     return {"ais": mi, "icais": cmi, "interaction": cmi - mi}
 
 
-def joint(probs):
-    """A hand-built (history, next, input) distribution."""
-    probs = np.asarray(probs, dtype=float)
-    return Distribution(tuple(Alphabet(s) for s in probs.shape), probs)
-
-
 H_BERN_07 = -(0.7 * np.log2(0.7) + 0.3 * np.log2(0.3))
 
 
@@ -403,7 +400,7 @@ class TestAgainstEntropyReference:
         ),
     ], ids=["xor-synergy", "product-law", "sticky-pair"])
     def test_closed_forms(self, probs, want):
-        d = joint(probs)
+        d = Distribution(probs)
         for r in evaluate(MEASURES, d, k=1):
             assert abs(r.average_bits - want[r.measure]) < 1e-12
         ref = entropy_reference(d)
@@ -478,9 +475,7 @@ def loop_locals(x, u, cfg, d):
 def random_distribution(rng, nx, nu, k):
     shape = (nx**k, nx, nu)
     probs = rng.random(shape) + 0.05
-    return Distribution(
-        (Alphabet(shape[0]), Alphabet(nx), Alphabet(nu)), probs / probs.sum()
-    )
+    return Distribution(probs / probs.sum())
 
 
 class TestHeldOutLocals:
@@ -504,10 +499,7 @@ class TestHeldOutLocals:
             cfg = EmbeddingConfig(3, int(rng.integers(0, 3)))
             x, u = random_series(rng, 200, nx), random_series(rng, 200, nu)
             d = random_distribution(rng, nx, nu, 5)
-            d3 = Distribution(
-                (Alphabet(nx**3), Alphabet(nx), Alphabet(nu)),
-                d.probs.reshape(nx**2, nx**3, nx, nu).sum(axis=0),
-            )
+            d3 = Distribution(d.probs.reshape(nx**2, nx**3, nx, nu).sum(axis=0))
             want = loop_locals(x, u, cfg, d3)
             t = count_joint(x, u, cfg)
             for m in MEASURES:
@@ -528,7 +520,7 @@ class TestHeldOutLocals:
         probs = random_distribution(rng, 2, 2, 1).probs.copy()
         h, xn, un = int(x.data[0]), int(x.data[1]), int(u.data[1])
         probs[h, xn, un] = 0.0
-        d = Distribution((BINARY,) * 3, probs / probs.sum())
+        d = Distribution(probs / probs.sum())
         # (history, next) keeps mass through the other input symbol
         with np.errstate(divide="ignore"):
             want = loop_locals(x, u, EmbeddingConfig(1), d)["ais"]
@@ -537,9 +529,30 @@ class TestHeldOutLocals:
             with pytest.raises(ValueError, match="zero probability"):
                 fn(t, d)
         probs[h, xn, :] = 0.0
-        d = Distribution((BINARY,) * 3, probs / probs.sum())
+        d = Distribution(probs / probs.sum())
         with pytest.raises(ValueError, match="zero probability"):
             local_ais(t, d)
+
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_next_axis_must_match(self, rng, measure):
+        # a (3, 3, 2) joint evaluates at k = 1, but over three next symbols
+        x, u = random_series(rng, 200, 2), random_series(rng, 200, 2)
+        t = count_joint(x, u, EmbeddingConfig(1))
+        with pytest.raises(ValueError, match=r"axes \(2,"):
+            local_profile(measure, t, random_distribution(rng, 3, 2, 1))
+
+    def test_input_axis_must_match_except_for_ais(self, rng):
+        x, u = random_series(rng, 200, 2), random_series(rng, 200, 2)
+        cfg = EmbeddingConfig(2)
+        t = count_joint(x, u, cfg)
+        d = random_distribution(rng, 2, 3, 2)
+        for m in ("icais", "interaction"):
+            with pytest.raises(ValueError, match=r"axes \(2, 2\), not \(2, 3\)"):
+                local_profile(m, t, d)
+        # AIS is keyed by (history, next) only
+        want = loop_locals(x, u, cfg, d)["ais"]
+        assert np.max(np.abs(local_profile("ais", t, d).values - np.array(want))) < 1e-12
 
 
 class TestLocalProfile:
@@ -640,3 +653,12 @@ class TestStepIndexDtype:
         # checked before the cast to int32, which would wrap 2^32 to 0
         with pytest.raises(ValueError, match="index cells"):
             JointCountTable(1, BINARY, None, [0, 1, 2], [1, 1, 1], np.array(bad, dtype=np.int64))
+
+    @pytest.mark.parametrize("cells, counts, match", [
+        ([[0, 1]], [1], "cells must be one-dimensional"),
+        ([0, 1, 2], [1, 1], "same length"),
+        ([0, 1], [1, -1], "non-negative"),
+    ], ids=["2-D-cells", "unequal-lengths", "negative-count"])
+    def test_malformed_cells_and_counts(self, cells, counts, match):
+        with pytest.raises(ValueError, match=match):
+            JointCountTable(1, BINARY, None, cells, counts, [0])

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -385,6 +387,14 @@ class TestJointChain:
         assert m.n_states == STATE_SPACE_LIMIT
         with pytest.raises(ValueError, match="reduce k$"):
             build_joint_chain(ProcessSpec("bernoulli", p=0.5), UnitSpec("xor_memory"), 19)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            build_joint_chain(ProcessSpec("bernoulli", p=0.5), UnitSpec("xor_memory"), 0)
+        # a law over three input symbols against a unit that reads two
+        ternary = SimpleNamespace(transition_matrix=lambda: np.full((3, 3), 1 / 3))
+        with pytest.raises(ValueError, match="does not match the unit"):
+            build_joint_chain(ternary, UnitSpec("xor_memory"), 1)
 
     def test_one_output_symbol_has_one_history_at_any_k(self):
         silent = TableUnit(next_state=[[0, 0]], output=[[0, 0]], n_outputs=1)

@@ -47,6 +47,10 @@ class TestSymbolSeries:
         with pytest.raises(ValueError):
             SymbolSeries(BINARY, np.array([], dtype=int))
 
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            bseries([[0, 1], [1, 0]])
+
     def test_data_is_immutable(self):
         s = bseries([0, 1])
         with pytest.raises(ValueError):
@@ -105,6 +109,13 @@ class TestHistoryCodes:
         assert codes.size == 28
         for i, c in enumerate(codes.tolist()):
             assert decode_history(c, 3, 3) == tuple(x.data[i : i + 3].tolist())
+
+
+class TestEmbeddingConfig:
+    @pytest.mark.parametrize("k, lag, match", [(0, 0, "k must be >= 1"), (1, -1, "input_lag must be >= 0")])
+    def test_rejects_bad_values(self, k, lag, match):
+        with pytest.raises(ValueError, match=match):
+            EmbeddingConfig(k, input_lag=lag)
 
 
 class TestCountJoint:
