@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from collections import Counter
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import infodyn, procsim
-from .symseq import Alphabet, EmbeddingConfig, SymbolSeries, _rank_codes, count_joint
+from .symseq import Alphabet, EmbeddingConfig, SymbolSeries, _rank_codes, _symbol_dtype, count_joint
 
 SCHEMA = "icais/1"
 
@@ -225,12 +226,13 @@ def _read_csv_fast(path: str) -> tuple[list[str], np.ndarray] | None:
     field per header column, separated by commas.  A field is any number
     of ASCII spaces, an optional + or -, one to 19 digits and any number of
     ASCII spaces, and its value lies from -2^63 to 2^63-1.  Such a body
-    reads as ``_read_csv_cells`` reads it; any other file, an empty body
+    reads as ``_read_csv_cells`` reads it, though into the narrowest dtype
+    that holds every value: uint8, uint16 or uint32 while no value is
+    negative or beyond 2^32-1, else int64.  Any other file, an empty body
     included, gives None.
     """
     try:
-        # A line end closes the last row, even if the file has none.
-        padded = b"".join((bytes(_PAD), Path(path).read_bytes(), b"\n"))
+        padded = _read_padded(path)
     except OSError:
         return None
     line = _HEADER_LINE.match(padded, _PAD)
@@ -244,7 +246,9 @@ def _read_csv_fast(path: str) -> tuple[list[str], np.ndarray] | None:
         return None
     text = np.frombuffer(padded, dtype=np.uint8)
     words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
-    out = np.empty(len(header) * padded.count(b"\n", line.end()), dtype=np.int64)
+    # One block for all rows, widened by one copy whenever a chunk holds a
+    # value that its dtype does not.
+    out = np.empty(len(header) * padded.count(b"\n", line.end()), dtype=np.uint8)
     filled, start, end = 0, line.end(), len(padded)
     while start < end:
         stop = padded.find(b"\n", min(start + _CSV_CHUNK, end - 1)) + 1
@@ -252,12 +256,38 @@ def _read_csv_fast(path: str) -> tuple[list[str], np.ndarray] | None:
         values = _tokenize(classes, start, text, words, len(header))
         if values is None:
             return None
+        if values.size:
+            need = np.int64 if values.min() < 0 else _symbol_dtype(int(values.max()) + 1)
+            out = out.astype(np.promote_types(out.dtype, need), copy=False)
         out[filled : filled + values.size] = values
         filled += values.size
         start = stop
     if not filled:
         return None
     return [name.strip() for name in header], out[:filled].reshape(-1, len(header))
+
+
+def _read_padded(path: str) -> bytearray:
+    """``_PAD`` zero bytes, the file's bytes to its end, and a line end,
+    which closes the last row even if the file has none.
+
+    The buffer is sized from the file's size and read into in place; a
+    stream that reports no size, such as a pipe, grows it as it arrives.
+    """
+    with Path(path).open("rb", buffering=0) as fh:
+        buf = bytearray(_PAD + os.fstat(fh.fileno()).st_size + 1)
+        got = _PAD
+        while True:
+            if got == len(buf):
+                buf.extend(bytes(len(buf)))
+            with memoryview(buf) as view:
+                n = fh.readinto(view[got:])
+            if not n:
+                break
+            got += n
+    del buf[got:]
+    buf.append(ord("\n"))
+    return buf
 
 
 def _tokenize(cls: np.ndarray, offset: int, text: np.ndarray, words: np.ndarray,

@@ -36,7 +36,9 @@ class LocalProfile:
 
     ``cell_values[c]`` is the value of the table's cell ``c``, and
     ``transitions`` and ``counts`` are the table's own arrays, shared, not
-    copied, so a profile adds one float64 per cell.  ``values[i]`` belongs
+    copied, so a profile adds one float64 per cell; ``transitions`` is in
+    the narrowest index dtype for the table's cells, one byte per step up
+    to 256 cells (see ``JointCountTable``).  ``values[i]`` belongs
     to the transition whose `next` symbol sits at series index
     ``start_index + i``.
     """

@@ -155,9 +155,11 @@ class JointCountTable:
     otherwise; both give the same arrays, and memory is O(N + observed
     cells) either way, whatever the alphabet sizes.
 
-    ``cells`` and ``counts`` are held as int64, and ``transitions`` as
-    int32 whenever there are fewer than 2^31 cells (else int64), so each
-    step's index takes four bytes.  All three are read-only.
+    ``cells`` and ``counts`` are held as int64, and ``transitions`` in the
+    narrowest dtype that indexes the observed cells: uint8 up to 2^8 cells,
+    uint16 up to 2^16, uint32 up to 2^32 and int64 beyond, so a step's
+    index takes one byte while at most 256 cells are seen.  All three are
+    read-only.
     """
 
     k: int
@@ -221,7 +223,8 @@ def count_joint(
     pass over it, O(N) time, with codes of at most four bytes; a wider
     space is sorted instead, O(N log N).  Either way the arrays held are at
     most N long besides the observed cells, so memory is O(N + observed
-    cells).
+    cells), and each step's index into the observed cells takes the
+    narrowest dtype that holds it (see ``JointCountTable``).
     """
     xs = [x] if isinstance(x, SymbolSeries) else list(x)
     us = [None] * len(xs) if u is None else [u] if isinstance(u, SymbolSeries) else list(u)
@@ -293,13 +296,16 @@ def _flat_codes(xs, us, cfg: EmbeddingConfig, start: int, dtype: np.dtype) -> np
 
 
 def _index_dtype(n_cells: int) -> np.dtype:
-    """int32 when it indexes ``n_cells`` cells, else int64."""
-    return np.dtype(np.int32 if n_cells < 2**31 else np.int64)
+    """The dtype of an index into ``n_cells`` cells: the symbol dtype of
+    that many symbols (uint8 up to 2^8 cells, uint16 up to 2^16, uint32 up
+    to 2^32, int64 beyond)."""
+    return _symbol_dtype(max(n_cells, 1))
 
 
 def _rank_codes(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sorted distinct values of ``codes``, how often each occurs, and the
-    index of each code among them, as ``_index_dtype`` gives.
+    index of each code among them, in the dtype ``_index_dtype`` gives for
+    their number.
 
     ``codes`` lie in ``[0, space)``, in any integer dtype that holds them,
     such as the narrowest one of the space.  When the space is no larger
@@ -318,8 +324,10 @@ def _rank_codes(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray, 
             dense += np.bincount(codes[i : i + step], minlength=space)
         distinct = np.flatnonzero(dense)
         # The rank table is at most N long; gathering from it in the index
-        # dtype, through _take, makes no N-sized intp array.
-        rank = np.cumsum(dense > 0, dtype=_index_dtype(distinct.size)) - 1
+        # dtype, through _take, makes no N-sized intp array.  Its unseen
+        # cells are never gathered, so they stay 0.
+        rank = np.zeros(dense.size, dtype=_index_dtype(distinct.size))
+        rank[distinct] = np.arange(distinct.size, dtype=rank.dtype)
         return distinct, dense[distinct], _take(rank, codes)
     # Searching the sorted cells gives np.unique's inverse without its
     # argsort and gathers, which hold about six N-sized arrays at once.

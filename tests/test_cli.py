@@ -2,7 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -661,6 +664,55 @@ class TestIngest:
         columns, arr = _read_csv_fast(str(p))
         assert (columns, arr.tolist()) == _cells_outcome(str(p))
         assert arr.tolist() == values.tolist()
+
+    @pytest.mark.parametrize("value, dtype", [
+        (255, np.uint8), (256, np.uint16), (2**16 - 1, np.uint16), (2**16, np.uint32),
+        (2**32 - 1, np.uint32), (2**32, np.int64), (2**63 - 1, np.int64), (-1, np.int64),
+        (-(2**63), np.int64),
+    ])
+    def test_block_widens_to_hold_a_late_value(self, tmp_path, value, dtype):
+        # the value follows more than one chunk of 0/1 rows, which the
+        # block holds as uint8 until then
+        rows = np.random.default_rng(8).integers(0, 2, (_CSV_CHUNK // 3, 2))
+        p = tmp_path / "late.csv"
+        p.write_text("a,b\n" + "".join(f"{a},{b}\n" for a, b in rows.tolist()) + f"1,{value}\n0,1\n")
+        columns, arr = _read_csv_fast(str(p))
+        assert arr.dtype == dtype
+        assert (columns, arr.tolist()) == _cells_outcome(str(p))
+        assert arr[-2:].tolist() == [[1, value], [0, 1]]
+
+    @pytest.mark.parametrize("value", [-1, 2**32, 2**63 - 1, -(2**63)])
+    def test_unused_wide_column_leaves_analysis_unchanged(self, tmp_path, capsys, value):
+        p = gen_file(tmp_path, capsys, "markov:p_stay=0.7", "xor", 30_000, seed=6)
+        lines = p.read_text().splitlines(keepends=True)
+        q = tmp_path / "junk.csv"
+        q.write_text("".join([lines[0].replace("\n", ",junk\n")]
+                             + [line.replace("\n", f",{value if i == 25_000 else 0}\n")
+                                for i, line in enumerate(lines[1:])]))
+        outs = []
+        for path in (p, q):
+            code, out, err = run(capsys, "analyze", "--data", str(path), "-k", "3", "--input-col", "input")
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_piped_stdin_reads_as_the_file(self, tmp_path, capsys):
+        # a pipe reports no size, so it is read to its end, here across
+        # more than one chunk of the tokenizer
+        p = gen_file(tmp_path, capsys, "markov:p_stay=0.7", "xor", 50_000, seed=4)
+        argv = ["analyze", "-k", "3", "--input-col", "input", "--local", "--data"]
+        code, want, err = run(capsys, *argv, str(p))
+        assert code == 0, err
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        piped = subprocess.run(
+            [sys.executable, "-m", "infostorage.cli", *argv, "/dev/stdin"],
+            input=p.read_bytes(), capture_output=True, env=env, timeout=60,
+        )
+        assert (piped.returncode, piped.stderr) == (0, b"")
+        assert piped.stdout.decode() == want
 
 
 class TestSweep:

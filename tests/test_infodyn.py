@@ -601,8 +601,10 @@ class TestLocalProfile:
 
 
 class TestStepIndexDtype:
-    """Each step's index into the table's cells is int32 below 2^31 cells;
-    local values read through it are those int64 indices give."""
+    """Each step's index into the table's cells takes the narrowest dtype
+    that indexes them, uint8 up to 2^8 cells, uint16 up to 2^16 and uint32
+    up to 2^32; local values read through it are those int64 indices
+    give."""
 
     @staticmethod
     def cases(rng):
@@ -624,7 +626,8 @@ class TestStepIndexDtype:
             with monkeypatch.context() as m:
                 m.setattr(symseq, "_index_dtype", lambda n_cells: np.dtype(np.int64))
                 wide = count_joint(x, u, cfg)
-            assert (narrow.transitions.dtype, wide.transitions.dtype) == (np.int32, np.int64), name
+            want = np.uint8 if narrow.cells.size <= 2**8 else np.uint16
+            assert (narrow.transitions.dtype, wide.transitions.dtype) == (want, np.int64), name
             assert np.array_equal(narrow.transitions, wide.transitions)
             d = random_distribution(rng, narrow.alphabet_x.size, narrow.n_inputs, cfg.k)
             for m in MEASURES:
@@ -639,18 +642,54 @@ class TestStepIndexDtype:
             t.k, t.alphabet_x, t.alphabet_u, t.cells, t.counts,
             t.transitions.astype(np.int64), t.start_index,
         )
-        assert direct.transitions.dtype == np.int32
+        assert direct.transitions.dtype == np.uint8
         for want, got in zip(evaluate(MEASURES, t, local=True), evaluate(MEASURES, direct, local=True)):
             assert got.average_bits == want.average_bits
             assert got.local.values.tobytes() == want.local.values.tobytes()
 
     def test_index_dtype_rule(self):
-        assert symseq._index_dtype(2**31 - 1) == np.int32
-        assert symseq._index_dtype(2**31) == np.int64
+        for n_cells, want in [(0, np.uint8), (1, np.uint8), (2**8, np.uint8), (2**8 + 1, np.uint16),
+                              (2**16, np.uint16), (2**16 + 1, np.uint32), (2**32, np.uint32),
+                              (2**32 + 1, np.int64)]:
+            assert symseq._index_dtype(n_cells) == want, n_cells
 
-    @pytest.mark.parametrize("bad", [[0, 3], [-1, 0], [2**32]])
+    @staticmethod
+    def exactly(rng, n_cells, nu, n):
+        """Binary x at k = 1 with an input of ``nu`` symbols, cut after the
+        step that shows the ``n_cells``-th distinct cell: a random series of
+        exactly that many observed cells."""
+        x, u = random_series(rng, n, 2), random_series(rng, n, nu)
+        t = count_joint(x, u, EmbeddingConfig(1))
+        _, first = np.unique(t.cells[t.transitions], return_index=True)
+        end = np.sort(first)[n_cells - 1] + t.start_index + 1
+        return SymbolSeries(x.alphabet, x.data[:end]), SymbolSeries(u.alphabet, u.data[:end])
+
+    @pytest.mark.parametrize("n_cells, want", [
+        (2**8, np.uint8), (2**8 + 1, np.uint16), (2**16, np.uint16), (2**16 + 1, np.uint32),
+    ])
+    @pytest.mark.parametrize("path", ["dense", "sort"])
+    def test_profiles_at_the_dtype_edges(self, rng, monkeypatch, n_cells, want, path):
+        # dense: a cell space of 4 * |U| just above the cells, so the
+        # steps that show all but a few of them outnumber it; sort: a space
+        # of 2^22, far above the steps
+        nu = -(-(n_cells + 3) // 4) if path == "dense" else 2**20
+        x, u = self.exactly(rng, n_cells, nu, 20 * n_cells if path == "dense" else 2 * n_cells)
+        narrow = count_joint(x, u, EmbeddingConfig(1))
+        with monkeypatch.context() as m:
+            m.setattr(symseq, "_index_dtype", lambda n_cells: np.dtype(np.int64))
+            wide = count_joint(x, u, EmbeddingConfig(1))
+        assert narrow.cells.size == n_cells
+        assert (4 * nu <= narrow.total) == (path == "dense")
+        assert (narrow.transitions.dtype, wide.transitions.dtype) == (want, np.int64)
+        assert np.array_equal(narrow.transitions, wide.transitions)
+        for m in MEASURES:
+            got = local_profile(m, narrow).values
+            assert got.tobytes() == local_profile(m, wide).values.tobytes(), m
+
+    @pytest.mark.parametrize("bad", [[0, 3], [-1, 0], [2**32], [2**8 + 2]])
     def test_transitions_must_index_cells(self, bad):
-        # checked before the cast to int32, which would wrap 2^32 to 0
+        # checked before the cast to uint8, which would wrap 2^32 to 0 and
+        # 2^8 + 2 to 2
         with pytest.raises(ValueError, match="index cells"):
             JointCountTable(1, BINARY, None, [0, 1, 2], [1, 1, 1], np.array(bad, dtype=np.int64))
 

@@ -2,8 +2,9 @@
 
 numpy reports its buffers to tracemalloc, so a peak is a count of bytes the
 code asked for, not resident-set noise.  Each bound is the measured peak
-with about 25 % headroom: a binary symbol takes one byte and a step's index
-into the cells four, so an int64 copy of either breaks the bound.
+with about 25 % headroom: a binary symbol takes one byte, and so does a
+step's index into at most 256 observed cells, so a wider copy of either
+breaks the bound.
 """
 
 import io
@@ -49,11 +50,12 @@ def test_generate_input_budget(spec):
 
 
 def test_count_joint_budget():
-    # measured 5.1: the uint8 cell codes (64 cells at k = 4 with an input)
-    # and the int32 step indices
+    # measured 2.07: the uint8 cell codes (64 cells at k = 4 with an input)
+    # and the step indices into the 64 observed cells, uint8 too; an int32
+    # index (4 bytes) breaks the bound
     u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
     x = simulate_unit(UnitSpec("xor_memory"), u)
-    assert peak_bytes_per_step(count_joint, x, u, EmbeddingConfig(4)) < 6.4
+    assert peak_bytes_per_step(count_joint, x, u, EmbeddingConfig(4)) < 2.6
 
 
 def test_simulate_unit_budget():
@@ -69,7 +71,7 @@ def test_count_joint_sort_path_budget():
     # measured 29.0: 65 536 symbols at k = 1 make a cell space of 2^32, so
     # the uint32 codes are sorted, and nearly every step has its own cell:
     # the codes, their sorted copy and np.unique's run bounds, then the
-    # int32 step indices beside the int64 cells and counts
+    # uint32 step indices beside the int64 cells and counts
     x = SymbolSeries(Alphabet(2**16), np.random.default_rng(0).permutation(N) % 2**16)
     assert peak_bytes_per_step(count_joint, x, None, EmbeddingConfig(1)) < 36
 
@@ -99,7 +101,7 @@ def test_local_profile_budget(measure):
 
 def test_local_profile_values_budget():
     # measured 8.07: reading .values gathers the float64 profile itself;
-    # the int32 step index is cast to intp 2^13 steps at a time, so an intp
+    # the uint8 step index is cast to intp 2^13 steps at a time, so an intp
     # copy of it (8 more bytes per step) breaks the bound
     u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
     x = simulate_unit(UnitSpec("xor_memory"), u)
@@ -108,17 +110,18 @@ def test_local_profile_values_budget():
 
 
 def test_load_series_budget(tmp_path):
-    # measured 22.0 per row of an input,output file, while the second
-    # column is ranked: the parsed int64 block of both columns (16), that
-    # column's int32 ranks (4) and both uint8 series (2); a column is
-    # ranked from its view into the block, so a copy of it (8) breaks it
+    # measured 7.6 per row of an input,output file, while its body is
+    # tokenised: the file's 4 bytes a row, read once into the padded
+    # buffer, the block of both columns, uint8 as every value fits (2),
+    # and about 1.6 MB of one chunk's temporaries, whatever N.  A second
+    # copy of the file (4 more) or an int32 block (6 more) breaks the bound
     u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
     x = simulate_unit(UnitSpec("xor_memory"), u)
     path = tmp_path / "long.csv"
     with path.open("w", newline="") as fh:
         fh.write("input,output\n")
         _write_csv_rows(fh, [u.data, x.data], [2, 2])
-    assert peak_bytes_per_step(_load_series, str(path), ["output"], ["input"]) < 26
+    assert peak_bytes_per_step(_load_series, str(path), ["output"], ["input"]) < 9.6
 
 
 class _Discard(io.TextIOBase):

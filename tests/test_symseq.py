@@ -330,7 +330,8 @@ class TestCodeDtypeEdges:
         assert table_to_dict(t) == naive_pooled(xs, us, cfg)
         assert t.cells[t.transitions].tolist() == naive_steps(xs, us, cfg)
         assert t.cells.dtype == t.counts.dtype == np.int64
-        assert t.transitions.dtype == symseq._index_dtype(t.cells.size) == np.int32
+        want = np.uint8 if t.cells.size <= 2**8 else np.uint16 if t.cells.size <= 2**16 else np.uint32
+        assert t.transitions.dtype == symseq._index_dtype(t.cells.size) == want
         return t
 
     @pytest.mark.parametrize(
