@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import re
@@ -188,12 +189,17 @@ def _parse_params(rest: str, original: str) -> dict[str, str]:
 def _read_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
     """Columns of an integer CSV file with one header row, by name.
 
-    A body in the grammar of ``_read_csv_fast`` is tokenised with numpy.
-    Any other file is parsed by ``_read_csv_cells``, which accepts what
-    ``int()`` accepts and names the line of the first bad cell.
+    The file (or a pipe, to its end) is read once, and both parsers take
+    that buffer.  A body in the grammar of ``_read_csv_fast`` is tokenised
+    with numpy; any other is parsed by ``_read_csv_cells``, which accepts
+    what ``int()`` accepts and names the line of the first bad cell.
     """
-    parsed = _read_csv_fast(path)
-    columns, arr = parsed if parsed is not None else _read_csv_cells(path)
+    try:
+        padded = _read_padded(path)
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e}")
+    parsed = _read_csv_fast(padded)
+    columns, arr = parsed if parsed is not None else _read_csv_cells(padded, path)
     return columns, {name: arr[:, i] for i, name in enumerate(columns)}
 
 
@@ -201,7 +207,7 @@ def _read_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
 # byte of class _OTHER sends the file to the reference parser.
 _DIGIT, _SPACE, _PLUS, _MINUS, _COMMA, _LF, _CR, _OTHER = range(8)
 _CLASS_OF = {**dict.fromkeys(b"0123456789", _DIGIT),
-             **dict(zip(b" +-,\n\r", (_SPACE, _PLUS, _MINUS, _COMMA, _LF, _CR)))}
+             **dict(zip(b" \t+-,\n\r", (_SPACE, _SPACE, _PLUS, _MINUS, _COMMA, _LF, _CR)))}
 _BYTE_CLASS = bytes(_CLASS_OF.get(b, _OTHER) for b in range(256))
 # Body bytes tokenised at a time, cut at a line end: the temporaries, a few
 # bytes per body byte, stay in cache.
@@ -217,24 +223,20 @@ _PAD = 3 * 8
 _KEEP_LAST = np.array([(2**64 - 1) >> (64 - 8 * n) << (64 - 8 * n) for n in range(9)], dtype=np.uint64)
 
 
-def _read_csv_fast(path: str) -> tuple[list[str], np.ndarray] | None:
+def _read_csv_fast(padded: bytearray) -> tuple[list[str], np.ndarray] | None:
     """Columns of a file whose body is in the fast grammar, or None.
 
-    The header is the first line, split by ``csv``; it must end in \\n or
-    \\r\\n.  The body is ASCII: lines end in \\n or \\r\\n (or at the end of
-    the file), blank lines are skipped, and every other line holds one
-    field per header column, separated by commas.  A field is any number
-    of ASCII spaces, an optional + or -, one to 19 digits and any number of
-    ASCII spaces, and its value lies from -2^63 to 2^63-1.  Such a body
-    reads as ``_read_csv_cells`` reads it, though into the narrowest dtype
-    that holds every value: uint8, uint16 or uint32 while no value is
-    negative or beyond 2^32-1, else int64.  Any other file, an empty body
-    included, gives None.
+    ``padded`` is the file as ``_read_padded`` reads it.  Its header is the
+    first line, split by ``csv``; it must end in \\n or \\r\\n.  The body is
+    ASCII: lines end in \\n or \\r\\n (or at its end), blank lines are
+    skipped, and every other line holds one field per header column,
+    separated by commas.  A field is an optional + or - and one to 19
+    digits, with any ASCII spaces and tabs on either side, and its value
+    lies from -2^63 to 2^63-1.  Such a body reads as ``_read_csv_cells``
+    reads it, though into the narrowest dtype that holds every value:
+    uint8, uint16 or uint32 while no value is negative or beyond 2^32-1,
+    else int64.  Any other file, an empty body included, gives None.
     """
-    try:
-        padded = _read_padded(path)
-    except OSError:
-        return None
     line = _HEADER_LINE.match(padded, _PAD)
     if line is None:
         return None
@@ -367,39 +369,37 @@ def _eight_digits(w: np.ndarray) -> np.ndarray:
     return (w * np.uint64(10000 * 2**32 + 1)) >> np.uint64(32)
 
 
-def _read_csv_cells(path: str) -> tuple[list[str], np.ndarray]:
-    """The reference parser: one ``int()`` per cell, blank lines skipped."""
-    try:
-        with Path(path).open(newline="", encoding="utf-8") as fh:
+def _read_csv_cells(padded: bytearray, path: str) -> tuple[list[str], np.ndarray]:
+    """The reference parser, of the file ``padded`` as ``_read_padded`` reads
+    it: one ``int()`` per cell, blank lines skipped, errors naming ``path``."""
+    # decoded a chunk at a time, as from a file: StringIO would hold 4 bytes a character
+    with io.TextIOWrapper(io.BytesIO(padded[_PAD:-1]), encoding="utf-8", newline="") as fh:
+        try:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
+            header = next(reader, None)
+            if header is None:
                 raise DataError(f"empty file: {path}")
             columns = [name.strip() for name in header]
             rows = []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 if len(row) != len(columns):
-                    raise DataError(f"{path}:{lineno}: expected {len(columns)} fields")
+                    raise DataError(f"{path}:{reader.line_num}: expected {len(columns)} fields")
                 parsed = []
                 for name, cell in zip(columns, row):
                     try:
                         value = int(cell)
                     except ValueError:
-                        raise DataError(
-                            f"{path}:{lineno}: non-integer value {cell!r} in column {name!r}"
-                        )
+                        raise DataError(f"{path}:{reader.line_num}: non-integer value {cell!r} "
+                                        f"in column {name!r}")
                     if not _INT64.min <= value <= _INT64.max:
-                        raise DataError(
-                            f"{path}:{lineno}: value {cell!r} in column {name!r} "
-                            "does not fit a 64-bit integer"
-                        )
+                        raise DataError(f"{path}:{reader.line_num}: value {cell!r} in column "
+                                        f"{name!r} does not fit a 64-bit integer")
                     parsed.append(value)
                 rows.append(parsed)
-    except (OSError, UnicodeDecodeError, csv.Error) as e:
-        raise DataError(f"cannot read {path}: {e}")
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise DataError(f"cannot read {path}: {e}")
     if not rows:
         raise DataError(f"no data rows in {path}")
     return columns, np.asarray(rows, dtype=np.int64)

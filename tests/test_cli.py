@@ -22,6 +22,7 @@ from infostorage.cli import (
     _read_csv,
     _read_csv_cells,
     _read_csv_fast,
+    _read_padded,
     _write_json_line,
     main,
 )
@@ -326,6 +327,29 @@ class TestAnalyze:
         assert code == 2
         assert json.loads(err)["error"] == "data"
 
+    def test_absent_file_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "absent.csv"
+        code, out, err = run(capsys, "analyze", "--data", str(p), "-k", "1")
+        assert (code, out) == (2, "")
+        msg = json.loads(err)
+        assert msg["error"] == "data"
+        assert msg["message"].startswith(f"cannot read {p}: ")
+
+    def test_non_utf8_pipe_is_data_error(self, capsys):
+        # three bytes fit the pipe's buffer, so no writer thread is needed
+        r, w = os.pipe()
+        os.write(w, b"\xff\xfe\xfa")
+        os.close(w)
+        try:
+            code, out, err = run(capsys, "analyze", "--data", f"/dev/fd/{r}", "-k", "1")
+        finally:
+            os.close(r)
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        msg = json.loads(line)
+        assert msg["error"] == "data"
+        assert msg["message"].startswith(f"cannot read /dev/fd/{r}: 'utf-8' codec can't decode")
+
     def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "binary.csv"
         p.write_bytes(b"\xff\xfe\xfa")
@@ -544,7 +568,7 @@ def _read_outcome(path):
 
 def _cells_outcome(path):
     try:
-        columns, arr = _read_csv_cells(path)
+        columns, arr = _read_csv_cells(_read_padded(path), path)
     except DataError as e:
         return str(e)
     return columns, arr.tolist()
@@ -595,11 +619,19 @@ INGEST_CASES = [
     ("output\r\n1\r\n\r\n\n0\r\n", (["output"], [[1], [0]]), True),
     ("output\r1\r0\r", (["output"], [[1], [0]]), False),
     ("a,b\n1,2\r3,4\n", (["a", "b"], [[1, 2], [3, 4]]), False),
-    ("output\n\t1\n0\t\n", (["output"], [[1], [0]]), False),
+    ("output\n\t1\n0\t\n", (["output"], [[1], [0]]), True),
     ('"a,b",c\n1,2\n', (["a,b", "c"], [[1, 2]]), True),
     ('"a\nb",c\n1,2\n', (["a\nb", "c"], [[1, 2]]), False),
     ('x,"y\n1,2\n', "no data rows in {path}", False),
     ("a,b\n1\r,2\n", "{path}:2: expected 2 fields", False),
+    # a tab is field whitespace; a tab alone, or after a sign, is not a value
+    ("output\n0\n\t\n", "{path}:3: non-integer value '\\t' in column 'output'", False),
+    ("output\n-\t1\n", "{path}:2: non-integer value '-\\t1' in column 'output'", False),
+    ("a,b\n1\t,\t2\n", (["a", "b"], [[1, 2]]), True),
+    ("a\t\n1\n", (["a"], [[1]]), True),
+    # a quoted line break: the line, not the record, is named
+    ('"a\nb",c\n1,x\n', "{path}:3: non-integer value 'x' in column 'c'", False),
+    ('a,b\n"1\n",2\n3,x\n', "{path}:4: non-integer value 'x' in column 'b'", False),
 ]
 
 
@@ -608,7 +640,7 @@ class TestIngest:
     def test_fast_path_matches_cell_parser(self, tmp_path, capfd, text, expected, fast):
         p = tmp_path / "in.csv"
         p.write_bytes(text.encode())
-        assert (_read_csv_fast(str(p)) is not None) == fast
+        assert (_read_csv_fast(_read_padded(str(p))) is not None) == fast
         got = _read_outcome(str(p))
         assert got == _cells_outcome(str(p))
         assert got == (expected.format(path=p) if isinstance(expected, str) else expected)
@@ -637,7 +669,7 @@ class TestIngest:
             if rng.random() < 0.3:
                 text = text.rstrip("\r\n")
             p.write_bytes(text.encode())
-            fast += _read_csv_fast(str(p)) is not None
+            fast += _read_csv_fast(_read_padded(str(p))) is not None
             assert _read_outcome(str(p)) == _cells_outcome(str(p)), repr(text)
         assert 100 < fast < 500
         assert capfd.readouterr() == ("", "")
@@ -661,7 +693,7 @@ class TestIngest:
         p = tmp_path / "chunks.csv"
         p.write_text("x,y\n" + "".join(rows).rstrip("\r\n"))
         assert p.stat().st_size > 3 * _CSV_CHUNK
-        columns, arr = _read_csv_fast(str(p))
+        columns, arr = _read_csv_fast(_read_padded(str(p)))
         assert (columns, arr.tolist()) == _cells_outcome(str(p))
         assert arr.tolist() == values.tolist()
 
@@ -676,7 +708,7 @@ class TestIngest:
         rows = np.random.default_rng(8).integers(0, 2, (_CSV_CHUNK // 3, 2))
         p = tmp_path / "late.csv"
         p.write_text("a,b\n" + "".join(f"{a},{b}\n" for a, b in rows.tolist()) + f"1,{value}\n0,1\n")
-        columns, arr = _read_csv_fast(str(p))
+        columns, arr = _read_csv_fast(_read_padded(str(p)))
         assert arr.dtype == dtype
         assert (columns, arr.tolist()) == _cells_outcome(str(p))
         assert arr[-2:].tolist() == [[1, value], [0, 1]]
@@ -696,10 +728,15 @@ class TestIngest:
             outs.append(out)
         assert outs[0] == outs[1]
 
-    def test_piped_stdin_reads_as_the_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("quoted", [False, True], ids=["tokenized", "quoted cell"])
+    def test_piped_stdin_reads_as_the_file(self, tmp_path, capsys, quoted):
         # a pipe reports no size, so it is read to its end, here across
-        # more than one chunk of the tokenizer
+        # more than one chunk of the tokenizer; a quoted cell sends the same
+        # bytes to the per-cell parser
         p = gen_file(tmp_path, capsys, "markov:p_stay=0.7", "xor", 50_000, seed=4)
+        if quoted:
+            header, body = p.read_text().split("\n", 1)
+            p.write_text(f'{header}\n"{body[0]}"{body[1:]}')
         argv = ["analyze", "-k", "3", "--input-col", "input", "--local", "--data"]
         code, want, err = run(capsys, *argv, str(p))
         assert code == 0, err

@@ -6,7 +6,8 @@ narrow cell codes, dense and sorted ranks, chunked gathers and the per-cell
 JSON writer.  Here their composition runs through ``cli.main`` and is
 compared, field by field, with values computed from ``csv``, dict counts and
 ``math.log2``.  A file the reference rejects must end in exit code 2 with
-one JSON data error.
+one JSON data error.  Each file is also given through a pipe, which must
+read as its path does.
 """
 
 import contextlib
@@ -14,6 +15,8 @@ import csv
 import io
 import json
 import math
+import os
+import threading
 from collections import Counter
 from unittest import mock
 
@@ -71,12 +74,12 @@ def reference_measures(xs, us, k, lag, k_count):
     }
 
 
-# A field in the tokenizer's grammar, or, with a tab or quotes, one that
-# only the per-cell parser reads.
-FAST_FIELDS = ["{}", "{}", " {}", "{} ", "+{}"]
-CELL_FIELDS = FAST_FIELDS + ["\t{}", '"{}"']
+# A field in the tokenizer's grammar, spaces and tabs included, or, with
+# quotes, one that only the per-cell parser reads.
+FAST_FIELDS = ["{}", "{}", " {}", "{} ", "+{}", "\t{}"]
+CELL_FIELDS = FAST_FIELDS + ['"{}"']
 # A corrupted cell, or the extra field of a ragged row, is spelled in the
-# tokenizer's grammar or with a tab or quotes, so that each parser sees it.
+# tokenizer's grammar or with quotes, so that each parser sees it.
 BAD_FIELDS = ["{}", " {}", "\t{}", '"{}"']
 BAD_VALUES = {
     "negative symbol": st.integers(-(2**63), -1),
@@ -138,6 +141,26 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_piped(text, *argv):
+    """``run_cli``'s result with ``text`` given as ``--data /dev/fd/N``, N the
+    read end of a pipe that a thread fills, and that path."""
+    r, w = os.pipe()
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(w, "wb") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return (*run_cli(*argv, "--data", f"/dev/fd/{r}"), f"/dev/fd/{r}")
+    finally:
+        # a writer the CLI left blocked sees a broken pipe
+        os.close(r)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
 def close(a, b):
     return abs(a - b) <= TOL
 
@@ -147,8 +170,8 @@ def test_cli_matches_reference(tmp_path):
     reached, parsed_by = set(), set()
     real_fast, real_rank = cli._read_csv_fast, symseq._rank_codes
 
-    def fast(p):
-        parsed = real_fast(p)
+    def fast(padded):
+        parsed = real_fast(padded)
         parsed_by.add("tokenizer" if parsed is not None else "cell parser")
         return parsed
 
@@ -160,31 +183,41 @@ def test_cli_matches_reference(tmp_path):
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(csv_files())
-    # a tab sends the file to the per-cell parser; few symbols over many
-    # rows rank densely, sparse ones over few rows by sorting
-    @example(("x0,u0\n0,1\n1,\t0\n1,1\n0,0\n1,0\n0,1\n1,1\n0,0\n", ["x0"], ["u0"], 1, 0, None))
+    # a quoted cell sends the file to the per-cell parser; few symbols over
+    # many rows rank densely, sparse ones over few rows by sorting
+    @example(('x0,u0\n0,1\n1,"0"\n1,1\n0,0\n1,0\n0,1\n1,1\n0,0\n', ["x0"], ["u0"], 1, 0, None))
     @example(("a\r\n5\r\n900\r\n5\r\n\r\n77\r\n900\r\n5\r\n5\r\n77\r\n", ["a"], [], 3, 0, None))
     # a negative symbol that the tokenizer reads, and one it leaves to the
     # per-cell parser
     @example(("x0\n1\n-2\n1\n0\n", ["x0"], [], 1, 0, "negative symbol"))
-    @example(("x0\n1\n\t-2\n1\n0\n", ["x0"], [], 1, 0, "negative symbol"))
+    @example(('x0\n1\n"-2"\n1\n0\n', ["x0"], [], 1, 0, "negative symbol"))
     # -2^63 - 1, which would wrap to the symbol 2^63 - 1 in 64 bits
     @example(("x0\n1\n-9223372036854775809\n1\n0\n", ["x0"], [], 1, 0, "beyond int64"))
     def check(case):
         text, cols, inputs, k_max, lag, corrupt = case
         path.write_bytes(text.encode())
         parsed_by.clear()
-        common = ["--data", str(path), "--cols", ",".join(cols), "--input-lag", str(lag)]
+        common = ["--cols", ",".join(cols), "--input-lag", str(lag)]
         if inputs:
             common += ["--input-col", ",".join(inputs)]
         analyze = ["analyze", *common, "-k", str(k_max), "--local"]
         sweep = ["sweep", *common, "--k-range", f"1:{k_max}"]
+
+        def run_both(argv):
+            """The CLI's result with the file given by path, after checking
+            that the same bytes through a pipe give the same."""
+            code, out, err = run_cli(*argv, "--data", str(path))
+            piped_code, piped_out, piped_err, pipe = run_piped(text.encode(), *argv)
+            assert (piped_code, piped_out) == (code, out)
+            assert piped_err == err.replace(json.dumps(str(path))[1:-1], pipe)
+            return code, out, err
+
         try:
             data = reference_columns(path)
         except ValueError:
             assert corrupt is not None
             for argv in (analyze, sweep):
-                code, out, err = run_cli(*argv)
+                code, out, err = run_both(argv)
                 assert (code, out) == (2, "")
                 [line] = err.splitlines()
                 assert json.loads(line)["error"] == "data"
@@ -195,7 +228,7 @@ def test_cli_matches_reference(tmp_path):
         xs = [data[c] for c in cols]
         us = [data[c] for c in inputs] * (len(cols) if len(inputs) == 1 else 1)
 
-        code, out, err = run_cli(*analyze)
+        code, out, err = run_both(analyze)
         assert code == 0, err
         lines = out.splitlines()
         records = [json.loads(line) for line in lines]
@@ -210,7 +243,7 @@ def test_cli_matches_reference(tmp_path):
             assert close(r["average_bits"], average)
             assert all(close(a, b) for a, b in zip(r["local"], local))
 
-        code, out, err = run_cli(*sweep)
+        code, out, err = run_both(sweep)
         assert code == 0, err
         reached.update(parsed_by)
         rows = list(csv.reader(io.StringIO(out)))
