@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -214,30 +215,26 @@ _BYTE_CLASS = bytes(_CLASS_OF.get(b, _OTHER) for b in range(256))
 _CSV_CHUNK = 1 << 16
 # The first line and its line end; a lone \r is left to the reference parser.
 _HEADER_LINE = re.compile(rb"([^\r\n]*)(?:\r\n|\n)")
-# Decimal digits of the longest field: 2^63 has 19.  Digits are read eight
-# at a time, as little-endian words ending at a field's last digit, so the
-# body follows three words of padding.
+# Decimal digits of the longest field: 2^63 has 19.
 _FIELD_DIGITS = 19
-_PAD = 3 * 8
-# _KEEP_LAST[n] zeroes all but the last n characters of a word.
-_KEEP_LAST = np.array([(2**64 - 1) >> (64 - 8 * n) << (64 - 8 * n) for n in range(9)], dtype=np.uint64)
 
 
 def _read_csv_fast(padded: bytearray) -> tuple[list[str], np.ndarray] | None:
     """Columns of a file whose body is in the fast grammar, or None.
 
-    ``padded`` is the file as ``_read_padded`` reads it.  Its header is the
-    first line, split by ``csv``; it must end in \\n or \\r\\n.  The body is
-    ASCII: lines end in \\n or \\r\\n (or at its end), blank lines are
-    skipped, and every other line holds one field per header column,
-    separated by commas.  A field is an optional + or - and one to 19
-    digits, with any ASCII spaces and tabs on either side, and its value
-    lies from -2^63 to 2^63-1.  Such a body reads as ``_read_csv_cells``
-    reads it, though into the narrowest dtype that holds every value:
-    uint8, uint16 or uint32 while no value is negative or beyond 2^32-1,
-    else int64.  Any other file, an empty body included, gives None.
+    ``padded`` is the file and a closing line end, as ``_read_padded``
+    reads it.  Its header is the first line, split by ``csv``; it must end
+    in \\n or \\r\\n.  The body is ASCII: lines end in \\n or \\r\\n (or at
+    its end), blank lines are skipped, and every other line holds one
+    field per header column, separated by commas.  A field is an optional
+    + or - and one to 19 digits, with any ASCII spaces and tabs on either
+    side, and its value lies from -2^63 to 2^63-1.  Such a body reads as
+    ``_read_csv_cells`` reads it, though into the narrowest dtype that
+    holds every value: uint8, uint16 or uint32 while no value is negative
+    or beyond 2^32-1, else int64.  Any other file, an empty body included,
+    gives None.
     """
-    line = _HEADER_LINE.match(padded, _PAD)
+    line = _HEADER_LINE.match(padded)
     if line is None:
         return None
     try:
@@ -247,7 +244,6 @@ def _read_csv_fast(padded: bytearray) -> tuple[list[str], np.ndarray] | None:
     if not header:
         return None
     text = np.frombuffer(padded, dtype=np.uint8)
-    words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
     # One block for all rows, widened by one copy whenever a chunk holds a
     # value that its dtype does not.
     out = np.empty(len(header) * padded.count(b"\n", line.end()), dtype=np.uint8)
@@ -255,7 +251,7 @@ def _read_csv_fast(padded: bytearray) -> tuple[list[str], np.ndarray] | None:
     while start < end:
         stop = padded.find(b"\n", min(start + _CSV_CHUNK, end - 1)) + 1
         classes = np.frombuffer(padded[start:stop].translate(_BYTE_CLASS), dtype=np.uint8)
-        values = _tokenize(classes, start, text, words, len(header))
+        values = _tokenize(classes, start, text, len(header))
         if values is None:
             return None
         if values.size:
@@ -270,15 +266,15 @@ def _read_csv_fast(padded: bytearray) -> tuple[list[str], np.ndarray] | None:
 
 
 def _read_padded(path: str) -> bytearray:
-    """``_PAD`` zero bytes, the file's bytes to its end, and a line end,
-    which closes the last row even if the file has none.
+    """The file's bytes to its end and a line end, which closes the last
+    row even if the file has none.
 
     The buffer is sized from the file's size and read into in place; a
     stream that reports no size, such as a pipe, grows it as it arrives.
     """
     with Path(path).open("rb", buffering=0) as fh:
-        buf = bytearray(_PAD + os.fstat(fh.fileno()).st_size + 1)
-        got = _PAD
+        buf = bytearray(os.fstat(fh.fileno()).st_size + 1)
+        got = 0
         while True:
             if got == len(buf):
                 buf.extend(bytes(len(buf)))
@@ -292,11 +288,11 @@ def _read_padded(path: str) -> bytearray:
     return buf
 
 
-def _tokenize(cls: np.ndarray, offset: int, text: np.ndarray, words: np.ndarray,
-              n_cols: int) -> np.ndarray | None:
+def _tokenize(cls: np.ndarray, offset: int, text: np.ndarray, n_cols: int) -> np.ndarray | None:
     """The fields, row by row, of whole lines whose byte classes are
     ``cls`` and which start at ``text[offset]``, or None unless every line
-    is in the fast grammar."""
+    is in the fast grammar.  Values are read by Horner's rule: one gather
+    of every first digit, then a pass j over the fields longer than j."""
     if cls.max() == _OTHER:
         return None
     digit = cls == _DIGIT
@@ -326,16 +322,21 @@ def _tokenize(cls: np.ndarray, offset: int, text: np.ndarray, words: np.ndarray,
     if not (digit[signs + 1].all() and (cls[returns + 1] == _LF).all()):
         return None
     starts = events[0::2]
+    values = (text[starts + offset] - ord("0")).astype(np.uint64)
     if (digit[1:] & digit[:-1]).any():
         last = digit.copy()
         last[:-1] &= ~digit[1:]
-        values = _digit_values(words, np.flatnonzero(last) + 1 - starts, starts + offset)
-        if values is None:
+        length = np.flatnonzero(last) + 1 - starts
+        if length.max() > _FIELD_DIGITS:
             return None
-    else:
-        # One digit per field, as `generate` writes for small alphabets:
-        # one gather, twice as fast as reading words.
-        values = (text[starts + offset] - ord("0")).astype(np.uint64)
+        # Shortest first (a radix sort), so each pass reads a tail slice.
+        order = np.argsort(length.astype(np.uint8), kind="stable")
+        longer = order.size - np.cumsum(np.bincount(length))
+        at, horner = starts[order] + offset, values[order]
+        for j in range(1, longer.size - 1):
+            tail = slice(order.size - longer[j], None)
+            horner[tail] = horner[tail] * 10 + (text[at[tail] + j] - ord("0"))
+        values[order] = horner
     neg = np.searchsorted(starts, signs[cls[signs] == _MINUS] + 1)
     over = values > np.uint64(2**63 - 1)
     over[neg] = values[neg] > np.uint64(2**63)
@@ -345,48 +346,25 @@ def _tokenize(cls: np.ndarray, offset: int, text: np.ndarray, words: np.ndarray,
     return values.view(np.int64)
 
 
-def _digit_values(words: np.ndarray, length: np.ndarray, starts: np.ndarray) -> np.ndarray | None:
-    """The values, as uint64, of the digit runs of ``length`` digits from
-    byte ``starts``; None if a run is longer than ``_FIELD_DIGITS``."""
-    width = int(length.max())
-    if width > _FIELD_DIGITS:
-        return None
-    ends = starts + length
-    values = np.zeros(length.size, dtype=np.uint64)
-    for i in range(-(-width // 8)):
-        n = np.clip(length - 8 * i, 0, 8)
-        values += _eight_digits(words[ends - 8 * (i + 1)] & _KEEP_LAST[n]) * np.uint64(10 ** (8 * i))
-    return values
-
-
-def _eight_digits(w: np.ndarray) -> np.ndarray:
-    """The value of eight ASCII digits (or zero bytes) in each little-endian
-    word, its first character most significant: each step pairs up the
-    values of adjacent groups of 1, 2 and 4 digits."""
-    w &= np.uint64(0x0F0F0F0F0F0F0F0F)
-    w = (w * np.uint64(10 * 256 + 1)) >> np.uint64(8) & np.uint64(0x00FF00FF00FF00FF)
-    w = (w * np.uint64(100 * 65536 + 1)) >> np.uint64(16) & np.uint64(0x0000FFFF0000FFFF)
-    return (w * np.uint64(10000 * 2**32 + 1)) >> np.uint64(32)
-
-
 def _read_csv_cells(padded: bytearray, path: str) -> tuple[list[str], np.ndarray]:
     """The reference parser, of the file ``padded`` as ``_read_padded`` reads
-    it: one ``int()`` per cell, blank lines skipped, errors naming ``path``."""
+    it: one ``int()`` per cell, blank lines skipped, errors naming ``path``.
+    The cells are collected row after row as 8-byte integers, the block's
+    own layout, so no Python object per row or cell is kept."""
     # decoded a chunk at a time, as from a file: StringIO would hold 4 bytes a character
-    with io.TextIOWrapper(io.BytesIO(padded[_PAD:-1]), encoding="utf-8", newline="") as fh:
+    with io.TextIOWrapper(io.BytesIO(padded[:-1]), encoding="utf-8", newline="") as fh:
         try:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise DataError(f"empty file: {path}")
             columns = [name.strip() for name in header]
-            rows = []
+            cells = array("q")
             for row in reader:
                 if not row:
                     continue
                 if len(row) != len(columns):
                     raise DataError(f"{path}:{reader.line_num}: expected {len(columns)} fields")
-                parsed = []
                 for name, cell in zip(columns, row):
                     try:
                         value = int(cell)
@@ -396,13 +374,12 @@ def _read_csv_cells(padded: bytearray, path: str) -> tuple[list[str], np.ndarray
                     if not _INT64.min <= value <= _INT64.max:
                         raise DataError(f"{path}:{reader.line_num}: value {cell!r} in column "
                                         f"{name!r} does not fit a 64-bit integer")
-                    parsed.append(value)
-                rows.append(parsed)
+                    cells.append(value)
         except (UnicodeDecodeError, csv.Error) as e:
             raise DataError(f"cannot read {path}: {e}")
-    if not rows:
+    if not cells:
         raise DataError(f"no data rows in {path}")
-    return columns, np.asarray(rows, dtype=np.int64)
+    return columns, np.frombuffer(cells, dtype=np.int64).reshape(-1, len(columns))
 
 
 def _series_from_columns(data: dict[str, np.ndarray], names: list[str]) -> list[SymbolSeries]:

@@ -7,11 +7,11 @@ vectorised kernel for all.
 
 The oracle builds the Markov chain over composite (input symbol, unit
 state, last k outputs) states for any ``TableUnit``, held as sparse
-successor and probability arrays of size states x |U|.  Its stationary
-distribution, solved on the small (input, unit state) chain and carried k
-steps along the full one, projects onto the exact joint p(history, next
-output, next input) that the storage measures consume, which yields
-analytic values with no sampling at all.
+successor and probability arrays of size states x |U|.  Its long-run
+law from the unit's own start, solved on the small (input, unit state)
+chain and carried k steps along the full one, projects onto the exact
+joint p(history, next output, next input) that the storage measures
+consume, which yields analytic values with no sampling at all.
 
 Pseudorandom generation uses numpy's Philox counter-based generator,
 seeded directly with the integer seed, so identical seeds give identical
@@ -264,14 +264,18 @@ class MarkovChainModel:
     ``successor[i, u']`` is the state that state i moves to on input u',
     and ``prob[i, u']`` = P(u' | u) is the probability of that move.  Both
     are (states x |U|) arrays, so |U| is ``successor.shape[1]``.
-    ``transition`` builds the dense row-stochastic states x states matrix
-    anew on each access; it is meant for checks on small chains.
+    ``start`` is the law of the first (input, unit state) pair, indexed
+    u * S + s: the first input u0 and the state the unit moves to on it
+    from its initial state.  ``transition`` builds the dense
+    row-stochastic states x states matrix anew on each access; it is meant
+    for checks on small chains.
     """
 
     k: int
     output_alphabet: Alphabet
     successor: np.ndarray
     prob: np.ndarray
+    start: np.ndarray
 
     @property
     def n_states(self) -> int:
@@ -306,6 +310,10 @@ def build_joint_chain(proc: ProcessSpec, unit: TableUnit, k: int) -> MarkovChain
     pu = proc.transition_matrix()
     if pu.shape != (nu, nu):
         raise ValueError("input process alphabet does not match the unit")
+    # u0 is drawn as generate_input draws it: Bernoulli(p), else uniformly
+    start = np.zeros(nu * ns)
+    first = pu[0] if getattr(proc, "kind", None) == "bernoulli" else np.full(nu, 1 / nu)
+    start[np.arange(nu) * ns + unit.next_state[unit.initial_state]] = first
 
     # [s, h, u'] -> (u' * S + next_state[s, u']) * nh + (h * nx + output[s, u']) % nh
     head = (np.arange(nu) * ns + unit.next_state)[:, None, :] * nh
@@ -316,21 +324,24 @@ def build_joint_chain(proc: ProcessSpec, unit: TableUnit, k: int) -> MarkovChain
         output_alphabet=unit.output_alphabet,
         successor=np.broadcast_to(head + tail, shape).reshape(n_states, nu),
         prob=np.broadcast_to(pu[:, None, None, :], shape).reshape(n_states, nu),
+        start=start,
     )
 
 
 def stationary_distribution(model: MarkovChainModel) -> Distribution:
-    """Stationary distribution over the model's composite states.
+    """Stationary distribution over the model's composite states, for the
+    chain started from ``model.start``.
 
     The (input, unit state) pair never reads the output history, so it is
     a chain L of its own, read off the rows with h = 0.  The limit of its
     lazy matrix (I + L)/2, which exists even for periodic L, is found by
-    squaring (rows renormalised after each product) and maps the pair
-    marginal of the uniform law on the reached states: no mass stays where
-    only an initial condition puts it.  Spread over the histories, that
-    marginal takes k bincount steps of the full chain, which overwrite
-    every history digit.  A product costs O((|U|·S)^3), so |U|·S is
-    limited to ``PAIR_LIMIT``.
+    squaring (rows renormalised after each product) and maps the start
+    law to the time-averaged law of the pair: no mass stays on transient
+    pairs, and when the start reaches several closed classes each gets the
+    probability of reaching it, the mixture a pooled ensemble of runs
+    estimates.  Spread over the histories, that pair law takes k bincount
+    steps of the full chain, which overwrite every history digit.  A
+    product costs O((|U|·S)^3), so |U|·S is limited to ``PAIR_LIMIT``.
     """
     n = model.n_states
     nh = model.output_alphabet.size ** model.k
@@ -346,8 +357,7 @@ def stationary_distribution(model: MarkovChainModel) -> Distribution:
         if np.abs(lazy - last).max() <= _SQUARING_TOL:
             break
     successor = model.successor.ravel()
-    reached = np.bincount(successor, minlength=n) > 0
-    pi = np.repeat(reached.reshape(pairs, nh).sum(axis=1) @ lazy, nh)
+    pi = np.repeat(model.start @ lazy, nh)
     for _ in range(model.k if nh > 1 else 0):
         pi = np.bincount(successor, weights=(pi[:, None] * model.prob).ravel(), minlength=n)
     return Distribution(pi / pi.sum())

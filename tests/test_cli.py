@@ -82,6 +82,15 @@ class TestGenerate:
         assert code == 1
         assert json.loads(err)["error"] == "usage"
 
+    def test_unwritable_output_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code, stdout, err = run(
+            capsys, "generate", "--process", "bernoulli:p=0.5", "--n", "5", "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert json.loads(err)["error"] == "data"
+        assert json.loads(err)["message"].startswith(f"cannot write {out}")
+
     def test_bad_spec_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "generate", "--process", "zipf:a=2", "--n", "5",

@@ -342,6 +342,9 @@ class TestSweepK:
             evaluate(["ais"], Distribution([0.5, 0.5]), k=1)
         with pytest.raises(TypeError, match="JointCountTable or Distribution"):
             evaluate(["ais"], [[[0.5, 0.5]]], k=1)
+        empty = JointCountTable(1, BINARY, None, cells=[], counts=[], transitions=[])
+        with pytest.raises(ValueError, match="empty count table"):
+            evaluate(["ais"], empty)
 
     def test_empirical_sweep_runs(self):
         u = generate_input(U2, 20_000)
@@ -533,6 +536,11 @@ class TestHeldOutLocals:
         with pytest.raises(ValueError, match="zero probability"):
             local_ais(t, d)
 
+
+    def test_distribution_is_not_a_count_table(self):
+        joint = oracle_joint(U2, XOR, 1)
+        with pytest.raises(TypeError, match="need an empirical count table"):
+            local_profile("ais", joint, joint)
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_next_axis_must_match(self, rng, measure):

@@ -24,19 +24,19 @@ from infostorage import (
     infodyn,
     simulate_unit,
 )
-from infostorage.cli import _load_series, _write_csv_rows, _write_json_line
+from infostorage.cli import _load_series, _read_csv_cells, _read_padded, _write_csv_rows, _write_json_line
 
 N = 10**6
 
 
-def peak_bytes_per_step(fn, *args):
+def peak_bytes_per_step(fn, *args, steps=N):
     tracemalloc.start()
     try:
         fn(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / N
+    return peak / steps
 
 
 @pytest.mark.parametrize(
@@ -122,6 +122,22 @@ def test_load_series_budget(tmp_path):
         fh.write("input,output\n")
         _write_csv_rows(fh, [u.data, x.data], [2, 2])
     assert peak_bytes_per_step(_load_series, str(path), ["output"], ["input"]) < 9.6
+
+
+def test_read_csv_cells_budget(tmp_path):
+    # measured 21 per row of an input,output file read cell by cell: the
+    # two int64 cells (16) with their array's spare room, and the copy of
+    # the file's 4 bytes a row that the text reader decodes from.  A Python
+    # object per row (a list of two ints is 144 bytes) breaks the bound
+    n = 10**5
+    u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), n)
+    x = simulate_unit(UnitSpec("xor_memory"), u)
+    path = tmp_path / "cells.csv"
+    with path.open("w", newline="") as fh:
+        fh.write("input,output\n")
+        _write_csv_rows(fh, [u.data, x.data], [2, 2])
+    padded = _read_padded(str(path))
+    assert peak_bytes_per_step(_read_csv_cells, padded, str(path), steps=n) < 28
 
 
 class _Discard(io.TextIOBase):

@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 from infostorage import (
     BINARY,
     Alphabet,
+    Distribution,
     EmbeddingConfig,
     ProcessSpec,
     SymbolSeries,
     TableUnit,
     UnitSpec,
+    ais,
     build_joint_chain,
     count_joint,
     generate_input,
+    icais,
     oracle_joint,
     plugin_distribution,
     simulate_unit,
@@ -42,22 +45,39 @@ def random_table_unit(rng, n_states, n_inputs, n_outputs):
     )
 
 
-def strongly_connected(unit):
+def reachability(unit):
+    """reach[s, t]: some inputs move the unit from state s to state t."""
     reach = np.eye(unit.n_states, dtype=bool)
     reach[np.arange(unit.n_states)[:, None], unit.next_state] = True
     for _ in range(unit.n_states):
         reach = reach | (reach.astype(int) @ reach.astype(int) > 0)
-    return bool(reach.all())
+    return reach
+
+
+def strongly_connected(unit):
+    return bool(reachability(unit).all())
+
+
+def closed_classes_reached(unit):
+    """The closed classes of unit states that its initial state reaches,
+    under inputs that give every symbol positive probability: a state is in
+    one when every state it reaches reaches it back."""
+    reach = reachability(unit)
+    return {
+        frozenset(np.flatnonzero(reach[s]).tolist())
+        for s in np.flatnonzero(reach[unit.initial_state])
+        if (reach[:, s] | ~reach[s]).all()
+    }
 
 
 def power_iteration(model, tol=1e-12, max_iter=10**6):
     """Reference stationary law: power iteration on the lazy chain
-    (I + T)/2 from the uniform law on the states some move reaches, until
-    an L1 step falls below tol."""
+    (I + T)/2 from the model's start law, spread evenly over the
+    histories, until an L1 step falls below tol."""
     n = model.n_states
     successor = model.successor.ravel()
-    v = np.bincount(successor, minlength=n) > 0
-    v = v / v.sum()
+    nh = n // model.start.size
+    v = np.repeat(model.start, nh) / nh
     for _ in range(max_iter):
         vt = np.bincount(successor, weights=(v[:, None] * model.prob).ravel(), minlength=n)
         if np.abs(vt - v).sum() < tol:
@@ -72,6 +92,21 @@ def cells_within_binomial_bound(exact, table):
     emp = plugin_distribution(table).probs
     sigma = np.sqrt(exact * (1 - exact) / table.total)
     return np.abs(emp - exact) <= np.maximum(3 * sigma, 1e-12)
+
+
+def share_within_binomial_bound(proc, unit, k, n=200_000, seeds=range(3), burn_in=10**4):
+    """The share of cells, over one run per seed, whose plug-in probability
+    is within 3 sigma of the oracle's.  Each run counts n steps after its
+    first ``burn_in``: the oracle gives no mass to transient states, which a
+    run visits only near its start."""
+    exact = oracle_joint(proc, unit, k).probs
+    within = []
+    for seed in seeds:
+        u = generate_input(ProcessSpec(proc.kind, p=proc.p, p_stay=proc.p_stay, seed=seed), burn_in + n)
+        x = simulate_unit(unit, u)
+        u, x = (SymbolSeries(s.alphabet, s.data[burn_in:]) for s in (u, x))
+        within.append(cells_within_binomial_bound(exact, count_joint(x, u, EmbeddingConfig(k))))
+    return float(np.mean(within))
 
 
 class TestProcessSpec:
@@ -512,6 +547,19 @@ class TestExactJoint:
         b = oracle_joint(ProcessSpec("markov_binary", p_stay=0.7), UnitSpec("xor_memory", 1), 2)
         assert np.allclose(a.probs, b.probs, atol=1e-12)
 
+    def test_several_closed_classes_give_the_start_weighted_mixture(self):
+        # state 0 moves to state 1 + u on its first input u and the unit
+        # stays there: state 1 forwards its input, state 2 inverts it
+        proc = ProcessSpec("bernoulli", p=0.3)
+        tables = ([[1, 2], [1, 1], [2, 2]], [[0, 1], [0, 1], [1, 0]])
+        joint = {s: oracle_joint(proc, TableUnit(*tables, n_outputs=2, initial_state=s), 3).probs
+                 for s in range(3)}
+        assert np.allclose(joint[0], 0.7 * joint[1] + 0.3 * joint[2], atol=1e-12)
+        # each run's outputs are i.i.d., but the pooled history tells the
+        # classes apart
+        assert ais(Distribution(joint[1]), k=3).average_bits == pytest.approx(0.0, abs=1e-12)
+        assert ais(Distribution(joint[0]), k=3).average_bits > 0.03
+
 
 class TestSimulationOracleAgreement:
     @pytest.mark.parametrize("unit_kind", ["forwarding", "xor_memory"])
@@ -557,3 +605,48 @@ class TestSimulationOracleAgreement:
             total_cells += within.size
             n_units += 1
         assert ok_cells / total_cells >= 0.95
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_random_units_reaching_one_closed_class(self, k):
+        # not strongly connected: the oracle must start where the unit
+        # starts, or the transient states and the classes the start never
+        # reaches would carry mass
+        rng = np.random.default_rng(500 + k)
+        shares = []
+        while len(shares) < 6:
+            unit = random_table_unit(rng, int(rng.integers(3, 6)), 2, int(rng.integers(2, 4)))
+            if strongly_connected(unit) or len(closed_classes_reached(unit)) != 1:
+                continue
+            proc = ProcessSpec("markov_binary", p_stay=0.7)
+            if len(shares) % 2:
+                proc = ProcessSpec("bernoulli", p=0.5)
+            shares.append(share_within_binomial_bound(proc, unit, k, n=10**6, seeds=[len(shares)]))
+        assert np.mean(shares) >= 0.95
+
+    @pytest.mark.parametrize("init", [0, 1])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_unit_that_never_changes_state(self, init, k):
+        # each state is a closed class of its own; the output is input XOR
+        # the state, so it stores nothing the input does not explain
+        unit = TableUnit([[0, 0], [1, 1]], [[0, 1], [1, 0]], n_outputs=2, initial_state=init)
+        proc = ProcessSpec("markov_binary", p_stay=0.7)
+        assert icais(oracle_joint(proc, unit, k), k=k).average_bits == pytest.approx(0.0, abs=1e-12)
+        assert share_within_binomial_bound(proc, unit, k) >= 0.95
+
+    @pytest.mark.parametrize("init", [0, 1, 2])
+    def test_unit_with_an_absorbing_state(self, init):
+        # states 0 and 1 pass to each other or fall into state 2, which
+        # forwards its input for ever
+        unit = TableUnit([[1, 2], [0, 2], [2, 2]], [[0, 1], [1, 1], [0, 1]], n_outputs=2,
+                         initial_state=init)
+        for proc in (ProcessSpec("markov_binary", p_stay=0.7), ProcessSpec("bernoulli", p=0.3)):
+            assert share_within_binomial_bound(proc, unit, 2) >= 0.95
+
+    @pytest.mark.parametrize("init", [0, 1])
+    def test_xor_under_a_constant_input(self, init):
+        # bernoulli(0) feeds only 0s, so xor repeats its initial state
+        proc, unit = ProcessSpec("bernoulli", p=0.0), UnitSpec("xor_memory", init)
+        exact = oracle_joint(proc, unit, 2).probs
+        assert exact[3 * init, init, 0] == 1.0
+        assert ais(Distribution(exact), k=2).average_bits == 0.0
+        assert share_within_binomial_bound(proc, unit, 2) == 1.0
