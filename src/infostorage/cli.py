@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 from array import array
@@ -29,7 +28,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-_INT64 = np.iinfo(np.int64)
 _ROWS_PER_WRITE = 1 << 16
 
 
@@ -190,17 +188,18 @@ def _parse_params(rest: str, original: str) -> dict[str, str]:
 def _read_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
     """Columns of an integer CSV file with one header row, by name.
 
-    The file (or a pipe, to its end) is read once, and both parsers take
-    that buffer.  A body in the grammar of ``_read_csv_fast`` is tokenised
-    with numpy; any other is parsed by ``_read_csv_cells``, which accepts
-    what ``int()`` accepts and names the line of the first bad cell.
+    The file (or a pipe, to its end) is read once, by ``read_bytes()``,
+    and both parsers take those bytes.  A body in the grammar of
+    ``_read_csv_fast`` is tokenised with numpy; any other is parsed by
+    ``_read_csv_cells``, which accepts what ``int()`` accepts and names
+    the line of the first bad cell.
     """
     try:
-        padded = _read_padded(path)
+        data = Path(path).read_bytes()
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}")
-    parsed = _read_csv_fast(padded)
-    columns, arr = parsed if parsed is not None else _read_csv_cells(padded, path)
+    parsed = _read_csv_fast(data)
+    columns, arr = parsed if parsed is not None else _read_csv_cells(data, path)
     return columns, {name: arr[:, i] for i, name in enumerate(columns)}
 
 
@@ -219,22 +218,22 @@ _HEADER_LINE = re.compile(rb"([^\r\n]*)(?:\r\n|\n)")
 _FIELD_DIGITS = 19
 
 
-def _read_csv_fast(padded: bytearray) -> tuple[list[str], np.ndarray] | None:
+def _read_csv_fast(data: bytes) -> tuple[list[str], np.ndarray] | None:
     """Columns of a file whose body is in the fast grammar, or None.
 
-    ``padded`` is the file and a closing line end, as ``_read_padded``
-    reads it.  Its header is the first line, split by ``csv``; it must end
-    in \\n or \\r\\n.  The body is ASCII: lines end in \\n or \\r\\n (or at
-    its end), blank lines are skipped, and every other line holds one
-    field per header column, separated by commas.  A field is an optional
-    + or - and one to 19 digits, with any ASCII spaces and tabs on either
-    side, and its value lies from -2^63 to 2^63-1.  Such a body reads as
-    ``_read_csv_cells`` reads it, though into the narrowest dtype that
-    holds every value: uint8, uint16 or uint32 while no value is negative
-    or beyond 2^32-1, else int64.  Any other file, an empty body included,
-    gives None.
+    ``data`` is the file's bytes.  Its header is the first line, split by
+    ``csv``; it must end in \\n or \\r\\n.  The body is ASCII: lines end in
+    \\n or \\r\\n (or at its end), blank lines are skipped, and every other
+    line holds one field per header column, separated by commas.  A field
+    is an optional + or - and one to 19 digits, with any ASCII spaces and
+    tabs on either side, and its value lies from -2^63 to 2^63-1.  Such a
+    body reads as ``_read_csv_cells`` reads it, though into the narrowest
+    dtype that holds every value: uint8, uint16 or uint32 while no value
+    is negative or beyond 2^32-1, else int64.  Any other file, an empty
+    body included, gives None.  An unended last line is closed with a
+    line end in a copy of its own chunk, never of the file.
     """
-    line = _HEADER_LINE.match(padded)
+    line = _HEADER_LINE.match(data)
     if line is None:
         return None
     try:
@@ -243,15 +242,14 @@ def _read_csv_fast(padded: bytearray) -> tuple[list[str], np.ndarray] | None:
         return None
     if not header:
         return None
-    text = np.frombuffer(padded, dtype=np.uint8)
-    # One block for all rows, widened by one copy whenever a chunk holds a
-    # value that its dtype does not.
-    out = np.empty(len(header) * padded.count(b"\n", line.end()), dtype=np.uint8)
-    filled, start, end = 0, line.end(), len(padded)
+    # One block for all rows, widened by one copy when a chunk holds a value its dtype does not.
+    rows = data.count(b"\n", line.end()) + (not data.endswith(b"\n"))
+    out = np.empty(len(header) * rows, dtype=np.uint8)
+    filled, start, end = 0, line.end(), len(data)
     while start < end:
-        stop = padded.find(b"\n", min(start + _CSV_CHUNK, end - 1)) + 1
-        classes = np.frombuffer(padded[start:stop].translate(_BYTE_CLASS), dtype=np.uint8)
-        values = _tokenize(classes, start, text, len(header))
+        stop = data.find(b"\n", min(start + _CSV_CHUNK, end - 1)) + 1 or end
+        chunk = data[start:stop]
+        values = _tokenize(chunk if chunk.endswith(b"\n") else chunk + b"\n", len(header))
         if values is None:
             return None
         if values.size:
@@ -265,34 +263,13 @@ def _read_csv_fast(padded: bytearray) -> tuple[list[str], np.ndarray] | None:
     return [name.strip() for name in header], out[:filled].reshape(-1, len(header))
 
 
-def _read_padded(path: str) -> bytearray:
-    """The file's bytes to its end and a line end, which closes the last
-    row even if the file has none.
-
-    The buffer is sized from the file's size and read into in place; a
-    stream that reports no size, such as a pipe, grows it as it arrives.
-    """
-    with Path(path).open("rb", buffering=0) as fh:
-        buf = bytearray(os.fstat(fh.fileno()).st_size + 1)
-        got = 0
-        while True:
-            if got == len(buf):
-                buf.extend(bytes(len(buf)))
-            with memoryview(buf) as view:
-                n = fh.readinto(view[got:])
-            if not n:
-                break
-            got += n
-    del buf[got:]
-    buf.append(ord("\n"))
-    return buf
-
-
-def _tokenize(cls: np.ndarray, offset: int, text: np.ndarray, n_cols: int) -> np.ndarray | None:
-    """The fields, row by row, of whole lines whose byte classes are
-    ``cls`` and which start at ``text[offset]``, or None unless every line
-    is in the fast grammar.  Values are read by Horner's rule: one gather
-    of every first digit, then a pass j over the fields longer than j."""
+def _tokenize(chunk: bytes, n_cols: int) -> np.ndarray | None:
+    """The fields, row by row, of ``chunk``'s lines, each ending in \\n,
+    or None unless every line is in the fast grammar.  Values are read by
+    Horner's rule: one gather of every first digit, then a pass j over the
+    fields longer than j."""
+    text = np.frombuffer(chunk, dtype=np.uint8)
+    cls = np.frombuffer(chunk.translate(_BYTE_CLASS), dtype=np.uint8)
     if cls.max() == _OTHER:
         return None
     digit = cls == _DIGIT
@@ -322,7 +299,7 @@ def _tokenize(cls: np.ndarray, offset: int, text: np.ndarray, n_cols: int) -> np
     if not (digit[signs + 1].all() and (cls[returns + 1] == _LF).all()):
         return None
     starts = events[0::2]
-    values = (text[starts + offset] - ord("0")).astype(np.uint64)
+    values = (text[starts] - ord("0")).astype(np.uint64)
     if (digit[1:] & digit[:-1]).any():
         last = digit.copy()
         last[:-1] &= ~digit[1:]
@@ -332,7 +309,7 @@ def _tokenize(cls: np.ndarray, offset: int, text: np.ndarray, n_cols: int) -> np
         # Shortest first (a radix sort), so each pass reads a tail slice.
         order = np.argsort(length.astype(np.uint8), kind="stable")
         longer = order.size - np.cumsum(np.bincount(length))
-        at, horner = starts[order] + offset, values[order]
+        at, horner = starts[order], values[order]
         for j in range(1, longer.size - 1):
             tail = slice(order.size - longer[j], None)
             horner[tail] = horner[tail] * 10 + (text[at[tail] + j] - ord("0"))
@@ -346,13 +323,13 @@ def _tokenize(cls: np.ndarray, offset: int, text: np.ndarray, n_cols: int) -> np
     return values.view(np.int64)
 
 
-def _read_csv_cells(padded: bytearray, path: str) -> tuple[list[str], np.ndarray]:
-    """The reference parser, of the file ``padded`` as ``_read_padded`` reads
-    it: one ``int()`` per cell, blank lines skipped, errors naming ``path``.
+def _read_csv_cells(data: bytes, path: str) -> tuple[list[str], np.ndarray]:
+    """The reference parser, of the file's bytes ``data``, read in place:
+    one ``int()`` per cell, blank lines skipped, errors naming ``path``.
     The cells are collected row after row as 8-byte integers, the block's
     own layout, so no Python object per row or cell is kept."""
-    # decoded a chunk at a time, as from a file: StringIO would hold 4 bytes a character
-    with io.TextIOWrapper(io.BytesIO(padded[:-1]), encoding="utf-8", newline="") as fh:
+    # BytesIO shares the bytes, decoded a chunk at a time: StringIO would hold 4 a character
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         try:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -367,14 +344,13 @@ def _read_csv_cells(padded: bytearray, path: str) -> tuple[list[str], np.ndarray
                     raise DataError(f"{path}:{reader.line_num}: expected {len(columns)} fields")
                 for name, cell in zip(columns, row):
                     try:
-                        value = int(cell)
+                        cells.append(int(cell))
                     except ValueError:
                         raise DataError(f"{path}:{reader.line_num}: non-integer value {cell!r} "
                                         f"in column {name!r}")
-                    if not _INT64.min <= value <= _INT64.max:
+                    except OverflowError:
                         raise DataError(f"{path}:{reader.line_num}: value {cell!r} in column "
                                         f"{name!r} does not fit a 64-bit integer")
-                    cells.append(value)
         except (UnicodeDecodeError, csv.Error) as e:
             raise DataError(f"cannot read {path}: {e}")
     if not cells:

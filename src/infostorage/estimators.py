@@ -26,7 +26,7 @@ class Distribution:
 
     def __post_init__(self):
         probs = np.array(self.probs, dtype=np.float64, order="C")
-        if probs.min() < 0:
+        if not (probs >= 0).all():
             raise ValueError("probabilities must be non-negative")
         total = probs.sum()
         if abs(total - 1.0) > _SUM_TOL:

@@ -51,7 +51,7 @@ class LocalProfile:
     start_index: int
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.cell_values, dtype=np.float64)
+        vals = np.ascontiguousarray(self.cell_values, dtype=np.float64).view()
         vals.setflags(write=False)
         object.__setattr__(self, "cell_values", vals)
 

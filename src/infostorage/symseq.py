@@ -232,13 +232,14 @@ def count_joint(
         raise ValueError("need at least one realisation")
     if len(us) != len(xs):
         raise ValueError(f"got {len(us)} input series for {len(xs)} realisations")
+    inputs = us if u is not None else []
+    if not all(isinstance(s, SymbolSeries) for s in [*xs, *inputs]):
+        raise ValueError("every realisation and input series must be a SymbolSeries")
     alphabet_x = xs[0].alphabet
     alphabet_u = us[0].alphabet if u is not None else None
     if any(xi.alphabet != alphabet_x for xi in xs):
         raise ValueError("realisations must share one x alphabet")
-    for xi, ui in zip(xs, us):
-        if ui is None:
-            continue
+    for xi, ui in zip(xs, inputs):
         if len(ui) != len(xi):
             raise ValueError(
                 f"input length {len(ui)} does not match series length {len(xi)}"

@@ -22,7 +22,6 @@ from infostorage.cli import (
     _read_csv,
     _read_csv_cells,
     _read_csv_fast,
-    _read_padded,
     _write_json_line,
     main,
 )
@@ -577,7 +576,7 @@ def _read_outcome(path):
 
 def _cells_outcome(path):
     try:
-        columns, arr = _read_csv_cells(_read_padded(path), path)
+        columns, arr = _read_csv_cells(Path(path).read_bytes(), path)
     except DataError as e:
         return str(e)
     return columns, arr.tolist()
@@ -649,7 +648,7 @@ class TestIngest:
     def test_fast_path_matches_cell_parser(self, tmp_path, capfd, text, expected, fast):
         p = tmp_path / "in.csv"
         p.write_bytes(text.encode())
-        assert (_read_csv_fast(_read_padded(str(p))) is not None) == fast
+        assert (_read_csv_fast(p.read_bytes()) is not None) == fast
         got = _read_outcome(str(p))
         assert got == _cells_outcome(str(p))
         assert got == (expected.format(path=p) if isinstance(expected, str) else expected)
@@ -678,7 +677,7 @@ class TestIngest:
             if rng.random() < 0.3:
                 text = text.rstrip("\r\n")
             p.write_bytes(text.encode())
-            fast += _read_csv_fast(_read_padded(str(p))) is not None
+            fast += _read_csv_fast(p.read_bytes()) is not None
             assert _read_outcome(str(p)) == _cells_outcome(str(p)), repr(text)
         assert 100 < fast < 500
         assert capfd.readouterr() == ("", "")
@@ -702,7 +701,7 @@ class TestIngest:
         p = tmp_path / "chunks.csv"
         p.write_text("x,y\n" + "".join(rows).rstrip("\r\n"))
         assert p.stat().st_size > 3 * _CSV_CHUNK
-        columns, arr = _read_csv_fast(_read_padded(str(p)))
+        columns, arr = _read_csv_fast(p.read_bytes())
         assert (columns, arr.tolist()) == _cells_outcome(str(p))
         assert arr.tolist() == values.tolist()
 
@@ -717,7 +716,7 @@ class TestIngest:
         rows = np.random.default_rng(8).integers(0, 2, (_CSV_CHUNK // 3, 2))
         p = tmp_path / "late.csv"
         p.write_text("a,b\n" + "".join(f"{a},{b}\n" for a, b in rows.tolist()) + f"1,{value}\n0,1\n")
-        columns, arr = _read_csv_fast(_read_padded(str(p)))
+        columns, arr = _read_csv_fast(p.read_bytes())
         assert arr.dtype == dtype
         assert (columns, arr.tolist()) == _cells_outcome(str(p))
         assert arr[-2:].tolist() == [[1, value], [0, 1]]

@@ -21,6 +21,15 @@ class TestDistribution:
         with pytest.raises(ValueError):
             Distribution([1.5, -0.5])
 
+    def test_nan_rejected(self):
+        # NaN compares false both ways, so a check for negatives would let it by
+        with pytest.raises(ValueError, match="non-negative"):
+            Distribution([0.5, np.nan, 0.5])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="sum to 0.0"):
+            Distribution([])
+
 
 class TestPluginDistribution:
     def test_normalizes_counts(self, rng):

@@ -7,6 +7,7 @@ from infostorage import (
     Distribution,
     EmbeddingConfig,
     JointCountTable,
+    LocalProfile,
     ProcessSpec,
     SymbolSeries,
     TableUnit,
@@ -599,6 +600,13 @@ class TestLocalProfile:
                 assert not np.shares_memory(values, prof.values)
                 with pytest.raises(ValueError):
                     values[0] = 0.0
+
+    def test_leaves_the_callers_array_writable(self, rng):
+        t = count_joint(random_series(rng, 50, 2), random_series(rng, 50, 2), EmbeddingConfig(1))
+        cell_values = np.zeros(t.cells.size)
+        prof = LocalProfile("ais", 1, cell_values, t.transitions, t.counts, t.start_index)
+        assert np.shares_memory(prof.cell_values, cell_values)
+        assert cell_values.flags.writeable and not prof.cell_values.flags.writeable
 
     def test_mean_and_length_over_steps(self, rng):
         for name, t, results in self.cases(rng):

@@ -24,7 +24,7 @@ from infostorage import (
     infodyn,
     simulate_unit,
 )
-from infostorage.cli import _load_series, _read_csv_cells, _read_padded, _write_csv_rows, _write_json_line
+from infostorage.cli import _load_series, _read_csv, _read_csv_cells, _write_csv_rows, _write_json_line
 
 N = 10**6
 
@@ -109,35 +109,44 @@ def test_local_profile_values_budget():
     assert peak_bytes_per_step(lambda: profile.values) < 10
 
 
-def test_load_series_budget(tmp_path):
-    # measured 7.6 per row of an input,output file, while its body is
-    # tokenised: the file's 4 bytes a row, read once into the padded
-    # buffer, the block of both columns, uint8 as every value fits (2),
-    # and about 1.6 MB of one chunk's temporaries, whatever N.  A second
-    # copy of the file (4 more) or an int32 block (6 more) breaks the bound
-    u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
+def _binary_csv(path, n):
+    u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), n)
     x = simulate_unit(UnitSpec("xor_memory"), u)
-    path = tmp_path / "long.csv"
     with path.open("w", newline="") as fh:
         fh.write("input,output\n")
         _write_csv_rows(fh, [u.data, x.data], [2, 2])
+    return path
+
+
+def test_load_series_budget(tmp_path):
+    # measured 7.7 per row of an input,output file, while its body is
+    # tokenised: the file's 4 bytes a row, read once, the block of both
+    # columns, uint8 as every value fits (2), and about 1.7 MB of one
+    # chunk's bytes and temporaries, whatever N.  A second copy of the
+    # file (4 more) or an int32 block (6 more) breaks the bound
+    path = _binary_csv(tmp_path / "long.csv", N)
     assert peak_bytes_per_step(_load_series, str(path), ["output"], ["input"]) < 9.6
 
 
+def test_read_csv_unended_budget(tmp_path):
+    # measured 7.7 per row, as with a final line end: the unended last row
+    # is closed in a copy of its own chunk, so a copy of the file to close
+    # it (4 more) breaks the bound of the file that has one
+    path = _binary_csv(tmp_path / "unended.csv", N)
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    assert peak_bytes_per_step(_read_csv, str(path)) < 9.6
+
+
 def test_read_csv_cells_budget(tmp_path):
-    # measured 21 per row of an input,output file read cell by cell: the
-    # two int64 cells (16) with their array's spare room, and the copy of
-    # the file's 4 bytes a row that the text reader decodes from.  A Python
-    # object per row (a list of two ints is 144 bytes) breaks the bound
+    # measured 17.2 per row of an input,output file read cell by cell: the
+    # two int64 cells (16) with their array's spare room; the text reader
+    # decodes the file's bytes in place.  A copy of the file's 4 bytes a
+    # row, or a Python object per row (a list of two ints is 144 bytes),
+    # breaks the bound
     n = 10**5
-    u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), n)
-    x = simulate_unit(UnitSpec("xor_memory"), u)
-    path = tmp_path / "cells.csv"
-    with path.open("w", newline="") as fh:
-        fh.write("input,output\n")
-        _write_csv_rows(fh, [u.data, x.data], [2, 2])
-    padded = _read_padded(str(path))
-    assert peak_bytes_per_step(_read_csv_cells, padded, str(path), steps=n) < 28
+    path = _binary_csv(tmp_path / "cells.csv", n)
+    data = path.read_bytes()
+    assert peak_bytes_per_step(_read_csv_cells, data, str(path), steps=n) < 20
 
 
 class _Discard(io.TextIOBase):

@@ -229,6 +229,17 @@ class TestCountJointEnsemble:
         with pytest.raises(ValueError, match="at least one"):
             count_joint([], None, EmbeddingConfig(1))
 
+    @pytest.mark.parametrize("order", ["missing second", "missing first"])
+    def test_rejects_a_missing_input_series(self, rng, order):
+        # an input for some realisations only would code the others without
+        # an input digit, on the wrong cells of one table
+        x, u = random_series(rng, 20, 2), random_series(rng, 20, 2)
+        us = [u, None] if order == "missing second" else [None, u]
+        with pytest.raises(ValueError, match="must be a SymbolSeries"):
+            count_joint([x, x], us, EmbeddingConfig(2))
+        with pytest.raises(ValueError, match="must be a SymbolSeries"):
+            count_joint(us, [u, u], EmbeddingConfig(2))
+
     def test_shortest_realisation_sets_the_length_check(self, rng):
         long, short = random_series(rng, 20, 2), random_series(rng, 3, 2)
         with pytest.raises(ValueError, match="length 3 too short"):
