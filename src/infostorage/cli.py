@@ -452,6 +452,8 @@ def _write_csv_rows(fh, columns: list[np.ndarray], sizes: list[int]) -> None:
 def cmd_generate(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     proc = _parse_process_spec(args.process, seed=args.seed)
     u = procsim.generate_input(proc, args.n)
     unit_spec = _parse_unit_spec(args.unit) if args.unit else None

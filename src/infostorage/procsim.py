@@ -40,7 +40,8 @@ _SQUARING_TOL = 1e-12
 _WORD_CELLS = 2**12
 _WORD_MAX = 16
 
-# Uniform draws made per call by generate_input.
+# Raw Philox words drawn, and steps unpacked by the running XOR, per call
+# in generate_input.
 _DRAW_CHUNK = 2**16
 
 
@@ -86,24 +87,63 @@ def generate_input(spec: ProcessSpec, n: int) -> SymbolSeries:
     if spec.kind == "bernoulli":
         _draw_below(rng, spec.p, data)
     else:
-        # u[t] is the first symbol XOR the flips before t: a running XOR
-        # of one byte per step, where a running sum would need int64.
+        # u[t] is the first symbol XOR the flips before t.
         data[0] = rng.integers(0, 2)
         _draw_below(rng, 1.0 - spec.p_stay, data[1:])
-        np.bitwise_xor.accumulate(data, out=data)
+        _running_xor(data)
     return SymbolSeries(BINARY, data)
 
 
 def _draw_below(rng: np.random.Generator, p: float, out: np.ndarray) -> None:
     """Set ``out[t]`` to 1 where the t-th uniform draw falls below p, else
-    to 0.  The draws are made ``_DRAW_CHUNK`` at a time into one reused
-    float buffer; they are the same stream as one ``rng.random(out.size)``.
+    to 0, the draws being the same stream as one ``rng.random(out.size)``.
+
+    ``rng.random`` makes each draw from one raw 64-bit word w as
+    ``(w >> 11) * 2**-53``, so the draw falls below p exactly when
+    ``w >> 11`` falls below ``ceil(p * 2**53)``, an integer of at most 2^53
+    (p * 2**53 is exact in floating point).  The raw words are taken
+    ``_DRAW_CHUNK`` at a time and compared with that integer, so nothing is
+    converted to float.
     """
-    buf = np.empty(min(out.size, _DRAW_CHUNK))
+    threshold = np.uint64(math.ceil(p * 2.0**53))
+    raw = rng.bit_generator.random_raw
     for i in range(0, out.size, _DRAW_CHUNK):
-        draws = buf[: min(_DRAW_CHUNK, out.size - i)]
-        rng.random(out=draws)
-        np.less(draws, p, out=out[i : i + _DRAW_CHUNK])
+        words = raw(min(_DRAW_CHUNK, out.size - i))
+        words >>= np.uint64(11)
+        np.less(words, threshold, out=out[i : i + _DRAW_CHUNK])
+
+
+def _running_xor(bits: np.ndarray) -> None:
+    """Replace a uint8 array of 0s and 1s by its running XOR, as
+    ``np.bitwise_xor.accumulate(bits, out=bits)`` would, working 64 steps
+    at a time on packed bits.
+
+    The steps are packed into little-endian 64-bit words, step t at bit t
+    mod 64 of word t // 64.  Six shifted XORs (by 1, 2, 4, ..., 32 bits)
+    make each bit the XOR of the bits below it in its word, so the top bit
+    holds the word's parity; a running XOR of those parities, one per
+    word, flips every word whose earlier words have odd parity.  The words
+    are unpacked back into ``bits`` ``_DRAW_CHUNK`` steps at a time, so
+    besides ``bits`` this holds two bits per step at most.
+    """
+    words = np.zeros(-(-bits.size // 64), dtype="<u8")
+    packed = words.view(np.uint8)
+    packed[: -(-bits.size // 8)] = np.packbits(bits, bitorder="little")
+    for shift in (1, 2, 4, 8, 16, 32):
+        words ^= words << np.uint64(shift)
+    carry = words >> np.uint64(63)
+    np.bitwise_xor.accumulate(carry, out=carry)
+    # Word j is flipped, XORed with all ones, when words 0..j-1 have odd
+    # parity.
+    carry[1:] = carry[:-1]
+    carry[0] = 0
+    words ^= np.negative(carry, out=carry)
+    # _DRAW_CHUNK is a multiple of 8, so each chunk starts on a byte.
+    for i in range(0, bits.size, _DRAW_CHUNK):
+        chunk = bits[i : i + _DRAW_CHUNK]
+        chunk[...] = np.unpackbits(
+            packed[i // 8 : (i + _DRAW_CHUNK) // 8], count=chunk.size, bitorder="little"
+        )
 
 
 class TableUnit:

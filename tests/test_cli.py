@@ -81,6 +81,16 @@ class TestGenerate:
         assert code == 1
         assert json.loads(err)["error"] == "usage"
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(
+            capsys, "generate", "--process", "bernoulli:p=0.5", "--n", "5", "--seed", "-1",
+            "--out", str(out),
+        )
+        assert (code, stdout) == (1, "")
+        assert json.loads(err) == {"error": "usage", "message": "--seed must be >= 0"}
+        assert not out.exists()
+
     def test_unwritable_output_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
         code, stdout, err = run(

@@ -43,25 +43,29 @@ def peak_bytes_per_step(fn, *args, steps=N):
     "spec", [ProcessSpec("markov_binary", p_stay=0.7, seed=1), ProcessSpec("bernoulli", p=0.3, seed=1)]
 )
 def test_generate_input_budget(spec):
-    # measured 2.75 (markov) and 2.0 (bernoulli): the uint8 series with its
-    # copy, and for markov the 2^16 float draws' reused buffer; the draws
-    # are never held N at a time
+    # measured 2.05 for both: the uint8 series with its copy; the raw draws
+    # are made 2^16 at a time and the running XOR holds two bits per step,
+    # so neither is held a byte per step
     assert peak_bytes_per_step(generate_input, spec, N) < 3.5
 
 
 def test_count_joint_budget():
-    # measured 2.07: the uint8 cell codes (64 cells at k = 4 with an input)
+    # measured 2.27: the uint8 cell codes (64 cells at k = 4 with an input)
     # and the step indices into the 64 observed cells, uint8 too; an int32
     # index (4 bytes) breaks the bound
     u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
     x = simulate_unit(UnitSpec("xor_memory"), u)
     assert peak_bytes_per_step(count_joint, x, u, EmbeddingConfig(4)) < 2.6
+    # measured 4.34: at k = 10, 4096 cells, the codes and the step indices
+    # are uint16, and the pair codes are held one block at a time; an int32
+    # index or int32 codes (2 more bytes) break the bound
+    assert peak_bytes_per_step(count_joint, x, u, EmbeddingConfig(10)) < 5.4
 
 
 def test_simulate_unit_budget():
-    # measured 2.29: the uint8 outputs with the series' copy of them, and
+    # measured 2.28: the uint8 outputs with the series' copy of them, and
     # one uint16 code per word of 11 inputs; the outputs are gathered
-    # through an intp buffer of 2^13 words, so no 8-byte array per step or
+    # through an intp buffer of 2^15 words, so no 8-byte array per step or
     # per word is made
     u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
     assert peak_bytes_per_step(simulate_unit, UnitSpec("xor_memory"), u) < 2.9
@@ -100,8 +104,8 @@ def test_local_profile_budget(measure):
 
 
 def test_local_profile_values_budget():
-    # measured 8.07: reading .values gathers the float64 profile itself;
-    # the uint8 step index is cast to intp 2^13 steps at a time, so an intp
+    # measured 8.26: reading .values gathers the float64 profile itself;
+    # the uint8 step index is cast to intp 2^15 steps at a time, so an intp
     # copy of it (8 more bytes per step) breaks the bound
     u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
     x = simulate_unit(UnitSpec("xor_memory"), u)

@@ -24,7 +24,7 @@ from infostorage import (
     simulate_unit,
     stationary_distribution,
 )
-from infostorage.procsim import PAIR_LIMIT, STATE_SPACE_LIMIT
+from infostorage.procsim import PAIR_LIMIT, STATE_SPACE_LIMIT, _running_xor
 
 
 def step_loop(unit, u):
@@ -148,12 +148,17 @@ class TestGenerateInput:
         with pytest.raises(ValueError):
             generate_input(ProcessSpec("bernoulli", p=0.5), 0)
 
-    @pytest.mark.parametrize("n", [1, 2, 10**5])
+    # The lengths straddle a 64-step word of the packed running XOR and
+    # the _DRAW_CHUNK of raw draws.
+    @pytest.mark.parametrize("n", [1, 2, 10**5, 63, 64, 65, 2**16, 2**16 + 1, 2**16 + 65])
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
     def test_seeded_series_match_the_int64_draws(self, n, seed):
         # The series drawn before symbols were held as uint8, written out
-        # in int64: the same Philox stream must give the same symbols.
-        for p_stay in (0.3, 0.7, 0.999):
+        # in int64: the same Philox stream must give the same symbols as
+        # float draws compared with p.  p = 2^-53 sets the integer
+        # threshold to 1 and p = 1 - 2^-53 to 2^53 - 1; p * 2^53 is an
+        # integer at 5 * 2^-20, as at 0.5.
+        for p_stay in (0.3, 0.7, 0.999, 2**-53, 1 - 2**-53):
             rng = np.random.Generator(np.random.Philox(seed))
             first = int(rng.integers(0, 2))
             flips = (rng.random(n - 1) < (1.0 - p_stay)).astype(np.int64)
@@ -161,12 +166,32 @@ class TestGenerateInput:
             got = generate_input(ProcessSpec("markov_binary", p_stay=p_stay, seed=seed), n)
             assert got.data.dtype == np.uint8
             assert np.array_equal(got.data, want)
-        for p in (0.0, 0.3, 0.5, 1.0):
+        for p in (0.0, 0.3, 0.5, 1.0, 2**-53, 1 - 2**-53, 5 * 2**-20):
             rng = np.random.Generator(np.random.Philox(seed))
             want = (rng.random(n) < p).astype(np.int64)
             got = generate_input(ProcessSpec("bernoulli", p=p, seed=seed), n)
             assert got.data.dtype == np.uint8
             assert np.array_equal(got.data, want)
+
+    def test_a_draw_equal_to_p_is_not_below_it(self):
+        # p at a draw's exact value, then one float above it: below 0.5 a
+        # float need not be a multiple of 2^-53, so the integer threshold
+        # must round p * 2^53 up, and compare strictly.
+        draws = np.random.Generator(np.random.Philox(3)).random(64)
+        t = int(np.flatnonzero(draws < 0.5)[0])
+        for p, want in ((draws[t], 0), (np.nextafter(draws[t], 1.0), 1)):
+            got = generate_input(ProcessSpec("bernoulli", p=float(p), seed=3), 64).data
+            assert got[t] == want
+            assert np.array_equal(got, draws < p)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 129, 2**16, 2**16 + 1, 2**16 + 65])
+    def test_running_xor_matches_accumulate(self, n):
+        rng = np.random.default_rng(n)
+        for p in (0.0, 0.3, 0.5, 1.0):
+            flips = (rng.random(n) < p).astype(np.uint8)
+            want = np.bitwise_xor.accumulate(flips)
+            _running_xor(flips)
+            assert np.array_equal(flips, want)
 
 
 class TestSimulateUnit:

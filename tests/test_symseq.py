@@ -147,12 +147,14 @@ class TestCountJoint:
             assert t.total == 30 - 2 - max(0, lag - 1)
 
     def test_matches_naive_loop(self, rng):
-        # randomized sweep over alphabets <= 3, k <= 3, lags, lengths <= 100
+        # randomized sweep over x alphabets <= 5, input alphabets <= 3,
+        # k <= 8 (odd and even k code histories two symbols at a time from
+        # k = 3 on), lags, lengths <= 100
         for _ in range(150):
-            n = int(rng.integers(5, 100))
-            nx = int(rng.integers(2, 4))
+            k = int(rng.integers(1, 9))
+            n = int(rng.integers(k + 3, 100))
+            nx = int(rng.integers(2, 6))
             nu = int(rng.integers(2, 4))
-            k = int(rng.integers(1, 4))
             lag = int(rng.integers(0, 3))
             with_u = bool(rng.integers(0, 2))
             x = random_series(rng, n, nx)
@@ -161,6 +163,21 @@ class TestCountJoint:
             t = count_joint(x, u, cfg)
             assert table_to_dict(t) == naive_count(x, u, cfg)
             assert t.total == sum(naive_count(x, u, cfg).values())
+
+    def test_code_blocks_match_naive_loop(self, rng, monkeypatch):
+        # Blocks of 7 steps, so that the codes of two pooled realisations
+        # cross a block edge at every k, on the one-symbol and pair paths.
+        monkeypatch.setattr(symseq, "_CODE_CHUNK", 7)
+        for k in range(1, 9):
+            for lag in (0, 2):
+                xs = [random_series(rng, n, 3) for n in (40, 33)]
+                us = [random_series(rng, n, 2) for n in (40, 33)]
+                cfg = EmbeddingConfig(k, lag)
+                want = {}
+                for x, u in zip(xs, us):
+                    for key, count in naive_count(x, u, cfg).items():
+                        want[key] = want.get(key, 0) + count
+                assert table_to_dict(count_joint(xs, us, cfg)) == want
 
     def test_transitions_align_with_series(self, rng):
         x = random_series(rng, 50, 2)
@@ -392,8 +409,11 @@ class TestTake:
 
     @pytest.mark.parametrize("index_dtype", [np.uint8, np.uint16, np.int32, np.int64])
     @pytest.mark.parametrize("value_dtype", [np.float64, np.int32])
+    # Lengths within one chunk and at a chunk's edges.
     @pytest.mark.parametrize(
-        "size", [0, 1, symseq._TAKE_CHUNK - 1, symseq._TAKE_CHUNK, symseq._TAKE_CHUNK + 1]
+        "size",
+        [0, 1, 2**13 - 1, 2**13, 2**13 + 1,
+         symseq._TAKE_CHUNK - 1, symseq._TAKE_CHUNK, symseq._TAKE_CHUNK + 1],
     )
     def test_equals_fancy_index(self, rng, index_dtype, value_dtype, size):
         values = rng.integers(-1000, 1000, 200).astype(value_dtype)
