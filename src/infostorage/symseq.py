@@ -21,18 +21,11 @@ _CODE_LIMIT = 2**63
 # searchsorted call on the sort path (see _rank_codes).
 _COUNT_CHUNK = 2**16
 
-# Steps whose cell codes _flat_codes builds at a time.  A block of uint16
-# codes with its pair codes takes 1 MiB, which stays in a core's L2 cache
-# through the Horner passes: on a 2-vCPU Xeon (2 MiB L2 a core), the k = 10
-# codes of 1e7 steps took 19 ms in blocks of 2^18 steps, 22 ms at 2^17 or
-# 2^19 and 35 ms in one block.
-_CODE_CHUNK = 2**18
-
 # Steps gathered per np.take call by _take.  The intp copy of a chunk of
-# the index, 256 KiB, stays in a core's L2 cache; a 1e7-step uint8 gather
-# on the same Xeon took 12.2 ms at 2^13, 10.1 ms at 2^15 and 9.9 ms at
-# 2^16, where the larger buffer would add 0.26 bytes per step to a gather
-# of N = 1e6 steps.
+# the index, 256 KiB, stays in a core's L2 cache; on a 2-vCPU Xeon (2 MiB
+# L2 a core) a 1e7-step uint8 gather took 12.2 ms at 2^13, 10.1 ms at 2^15
+# and 9.9 ms at 2^16, where the larger buffer would add 0.26 bytes per
+# step to a gather of N = 1e6 steps.
 _TAKE_CHUNK = 2**15
 
 
@@ -287,57 +280,23 @@ def count_joint(
 
 def _flat_codes(xs, us, cfg: EmbeddingConfig, start: int, dtype: np.dtype) -> np.ndarray:
     """Flat cell codes, in ``dtype``, of each realisation's transitions in
-    turn, each realisation's from the `next` symbol at index ``start`` on.
-
-    The codes are built ``_CODE_CHUNK`` steps at a time, so that each
-    block and its temporaries stay in cache through every pass over it.
-    """
+    turn, each realisation's from the `next` symbol at index ``start`` on."""
     k, lag = cfg.k, cfg.input_lag
     ends = np.cumsum([len(x) - start for x in xs]).tolist()
     codes = np.empty(ends[-1], dtype=dtype)
     for x, u, end in zip(xs, us, ends):
         m = len(x) - start
-        own = codes[end - m : end]
-        for i in range(0, m, _CODE_CHUNK):
-            part = own[i : i + _CODE_CHUNK]
-            t = start + i
-            _history_codes(part, x.data[t - k : t + part.size], x.alphabet.size)
-            if u is not None:
-                part *= u.alphabet.size
-                part += u.data[t - lag : t - lag + part.size]
-    return codes
-
-
-def _history_codes(out: np.ndarray, window: np.ndarray, nx: int) -> None:
-    """Set ``out[t]`` to the (history, next) code h * |X| + x of the step
-    whose window of k + 1 symbols, oldest first, starts at ``window[t]``;
-    k is ``window.size - out.size``.
-
-    Horner's rule over the window gives the code.  From k = 3 on it takes
-    two symbols a step: the pair codes window[t] * |X| + window[t+1] are
-    built once, each step multiplies by |X|^2 (which ``out.dtype`` holds,
-    as the cell space is at least |X|^4) and adds a pair, and an even k
-    adds its last symbol alone.  That is 14 passes over the block at
-    k = 10 instead of 21, and 6 instead of 7 at k = 3; below k = 3 the
-    pairs cost more passes than they save.
-    """
-    m, k = out.size, window.size - out.size
-    if k < 3:
-        out[...] = window[:m]
+        part = codes[end - m : end]
+        # Horner over the window x[t-k..t], oldest symbol first, gives the
+        # (history, next) code h * |X| + x of the step whose next is x[t].
+        part[...] = x.data[start - k : start - k + m]
         for j in range(1, k + 1):
-            out *= nx
-            out += window[j : j + m]
-        return
-    pairs = window[:-1].astype(out.dtype)
-    pairs *= nx
-    pairs += window[1:]
-    out[...] = pairs[:m]
-    for j in range(2, k, 2):
-        out *= nx * nx
-        out += pairs[j : j + m]
-    if k % 2 == 0:
-        out *= nx
-        out += window[k : k + m]
+            part *= x.alphabet.size
+            part += x.data[start - k + j : start - k + j + m]
+        if u is not None:
+            part *= u.alphabet.size
+            part += u.data[start - lag : len(u) - lag]
+    return codes
 
 
 def _index_dtype(n_cells: int) -> np.dtype:

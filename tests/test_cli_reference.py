@@ -257,12 +257,11 @@ def test_cli_matches_reference(tmp_path):
             assert abs(float(average) - avg_ref) <= TOL + 1e-14 * abs(avg_ref)
 
     # Chunks of a few steps, so that tiny files cross every chunk edge of
-    # the tokenizer, the cell codes, the dense count, the gathers and the
-    # JSON writer.
+    # the tokenizer, the dense count, the gathers and the JSON writer.
     with mock.patch.object(cli, "_read_csv_fast", fast), \
             mock.patch.object(cli, "_rank_codes", ranks("ingest")), \
             mock.patch.object(symseq, "_rank_codes", ranks("count")), \
-            mock.patch.multiple(symseq, _CODE_CHUNK=6, _COUNT_CHUNK=5, _TAKE_CHUNK=3), \
+            mock.patch.multiple(symseq, _COUNT_CHUNK=5, _TAKE_CHUNK=3), \
             mock.patch.multiple(cli, _CSV_CHUNK=7, _ROWS_PER_WRITE=4):
         check()
     assert reached == {"tokenizer", "cell parser", "ingest dense", "ingest sort", "count dense",

@@ -57,8 +57,8 @@ def test_count_joint_budget():
     x = simulate_unit(UnitSpec("xor_memory"), u)
     assert peak_bytes_per_step(count_joint, x, u, EmbeddingConfig(4)) < 2.6
     # measured 4.34: at k = 10, 4096 cells, the codes and the step indices
-    # are uint16, and the pair codes are held one block at a time; an int32
-    # index or int32 codes (2 more bytes) break the bound
+    # are uint16; an int32 index or int32 codes (2 more bytes) break the
+    # bound
     assert peak_bytes_per_step(count_joint, x, u, EmbeddingConfig(10)) < 5.4
 
 

@@ -148,8 +148,7 @@ class TestCountJoint:
 
     def test_matches_naive_loop(self, rng):
         # randomized sweep over x alphabets <= 5, input alphabets <= 3,
-        # k <= 8 (odd and even k code histories two symbols at a time from
-        # k = 3 on), lags, lengths <= 100
+        # k <= 8, lags, lengths <= 100
         for _ in range(150):
             k = int(rng.integers(1, 9))
             n = int(rng.integers(k + 3, 100))
@@ -163,21 +162,6 @@ class TestCountJoint:
             t = count_joint(x, u, cfg)
             assert table_to_dict(t) == naive_count(x, u, cfg)
             assert t.total == sum(naive_count(x, u, cfg).values())
-
-    def test_code_blocks_match_naive_loop(self, rng, monkeypatch):
-        # Blocks of 7 steps, so that the codes of two pooled realisations
-        # cross a block edge at every k, on the one-symbol and pair paths.
-        monkeypatch.setattr(symseq, "_CODE_CHUNK", 7)
-        for k in range(1, 9):
-            for lag in (0, 2):
-                xs = [random_series(rng, n, 3) for n in (40, 33)]
-                us = [random_series(rng, n, 2) for n in (40, 33)]
-                cfg = EmbeddingConfig(k, lag)
-                want = {}
-                for x, u in zip(xs, us):
-                    for key, count in naive_count(x, u, cfg).items():
-                        want[key] = want.get(key, 0) + count
-                assert table_to_dict(count_joint(xs, us, cfg)) == want
 
     def test_transitions_align_with_series(self, rng):
         x = random_series(rng, 50, 2)
