@@ -60,32 +60,33 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True, help="number of time steps")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="CSV output path")
+    gen.set_defaults(run=cmd_generate)
 
-    def add_analysis_args(p, k_range_only=False):
+    def add_analysis_args(p):
         p.add_argument("--data", required=True, help="CSV input path")
         p.add_argument(
             "--measure",
             default="all",
             choices=["ais", "icais", "interaction", "all"],
         )
-        if k_range_only:
-            p.add_argument("--k-range", required=True, help="inclusive range, e.g. 1:4")
-        else:
-            p.add_argument("-k", type=int, required=True, help="history length")
         p.add_argument("--cols", default="output", help="comma list of output columns")
         p.add_argument(
             "--input-col",
             help="input column name; comma list for per-process inputs",
         )
         p.add_argument("--input-lag", type=int, default=0)
-        p.add_argument("--format", choices=["json", "csv"], default=None)
+        p.add_argument("--format", choices=["json", "csv"])
 
     ana = sub.add_parser("analyze", help="estimate measures from a CSV file")
     add_analysis_args(ana)
+    ana.add_argument("-k", type=int, required=True, help="history length")
     ana.add_argument("--local", action="store_true", help="include local profiles")
+    ana.set_defaults(run=cmd_analyze, format="json", k_range=None)
 
     swp = sub.add_parser("sweep", help="estimate measures across history lengths")
-    add_analysis_args(swp, k_range_only=True)
+    add_analysis_args(swp)
+    swp.add_argument("--k-range", required=True, help="inclusive range, e.g. 1:4")
+    swp.set_defaults(run=cmd_analyze, format="csv", local=False)
 
     orc = sub.add_parser("oracle", help="exact values from the Markov-chain oracle")
     orc.add_argument("--process", required=True)
@@ -97,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("-k", type=int)
     group.add_argument("--k-range", help="inclusive range, e.g. 1:4")
     orc.add_argument("--format", choices=["json", "csv"], default="json")
+    orc.set_defaults(run=cmd_oracle)
     return parser
 
 
@@ -117,7 +119,7 @@ def _measures(name: str, has_input: bool) -> list[str]:
 def _history_lengths(args) -> range:
     """The history lengths ``-k`` or ``--k-range`` names, in order, as a
     range: its size does not grow with the upper bound."""
-    text = getattr(args, "k_range", None)
+    text = args.k_range
     if text is None:
         if args.k < 1:
             raise UsageError("-k must be >= 1")
@@ -325,14 +327,15 @@ def _tokenize(chunk: bytes, n_cols: int) -> np.ndarray | None:
 
 def _read_csv_cells(data: bytes, path: str) -> tuple[list[str], np.ndarray]:
     """The reference parser, of the file's bytes ``data``, read in place:
-    one ``int()`` per cell, blank lines skipped, errors naming ``path``.
+    one ``int()`` per cell, blank lines skipped (before the header too),
+    errors naming ``path``.
     The cells are collected row after row as 8-byte integers, the block's
     own layout, so no Python object per row or cell is kept."""
     # BytesIO shares the bytes, decoded a chunk at a time: StringIO would hold 4 a character
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         try:
             reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(filter(None, reader), None)
             if header is None:
                 raise DataError(f"empty file: {path}")
             columns = [name.strip() for name in header]
@@ -372,7 +375,7 @@ def _series_from_columns(data: dict[str, np.ndarray], names: list[str]) -> list[
     if lo < 0:
         raise DataError(f"negative symbol in column(s) {names}")
     symbols, _, ranks = _rank_codes(values, hi + 1)
-    alphabet = Alphabet(max(symbols.size, 2))
+    alphabet = Alphabet(symbols.size)
     ends = np.cumsum([data[c].size for c in names[:-1]])
     return [SymbolSeries(alphabet, r) for r in np.split(ranks, ends)]
 
@@ -431,22 +434,21 @@ def _emit(results: list[dict], fmt: str):
             _write_json_line(sys.stdout, r)
 
 
-def _write_csv_rows(fh, columns: list[np.ndarray], sizes: list[int]) -> None:
-    """Write the lines ``csv.writer`` writes for rows of small ints.
+def _write_csv_rows(fh, columns: list[np.ndarray]) -> None:
+    """Write to the binary file ``fh`` the lines ``csv.writer`` writes for
+    rows of one-digit symbols: every column holds symbols 0 to 9.
 
-    ``columns[j]`` holds symbols below ``sizes[j]``.  Each distinct row is
-    formatted once; each block of rows is coded by its mixed-radix code,
-    gathered and joined on its own, so memory beyond the columns stays
-    bounded.
+    Each block of rows is filled into one uint8 array of its bytes, a digit
+    at every even offset, a comma between digits and a line end last, and
+    written at once, so memory beyond the columns stays bounded.
     """
-    rows = np.array(
-        [",".join(map(str, row)) for row in np.ndindex(*sizes)], dtype=object
-    )
     for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
-        code = np.zeros(min(_ROWS_PER_WRITE, len(columns[0]) - start), dtype=np.int64)
-        for col, size in zip(columns, sizes):
-            code = code * size + col[start:start + _ROWS_PER_WRITE]
-        fh.write("\n".join(rows[code].tolist()) + "\n")
+        rows = min(_ROWS_PER_WRITE, len(columns[0]) - start)
+        block = np.full((rows, 2 * len(columns)), ord(","), dtype=np.uint8)
+        block[:, -1] = ord("\n")
+        for j, col in enumerate(columns):
+            block[:, 2 * j] = col[start:start + rows] + ord("0")
+        fh.write(block.tobytes())
 
 
 def cmd_generate(args) -> int:
@@ -455,18 +457,18 @@ def cmd_generate(args) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
     proc = _parse_process_spec(args.process, seed=args.seed)
-    u = procsim.generate_input(proc, args.n)
     unit_spec = _parse_unit_spec(args.unit) if args.unit else None
+    u = procsim.generate_input(proc, args.n)
     out_path = Path(args.out)
     try:
-        with out_path.open("w", newline="") as fh:
+        with out_path.open("wb") as fh:
             if unit_spec is not None:
                 x = procsim.simulate_unit(unit_spec, u)
-                fh.write("input,output\n")
-                _write_csv_rows(fh, [u.data, x.data], [u.alphabet.size, x.alphabet.size])
+                fh.write(b"input,output\n")
+                _write_csv_rows(fh, [u.data, x.data])
             else:
-                fh.write("output\n")
-                _write_csv_rows(fh, [u.data], [u.alphabet.size])
+                fh.write(b"output\n")
+                _write_csv_rows(fh, [u.data])
         meta = {
             "schema": SCHEMA,
             "process": args.process,
@@ -508,7 +510,7 @@ def _analysis_plan(args) -> tuple[list[str], list[str], list[str], range]:
         raise UsageError("input_lag must be >= 0")
     if args.input_lag and not input_names:
         raise UsageError("--input-lag needs --input-col to name the input column")
-    if getattr(args, "local", False) and args.format == "csv":
+    if args.local and args.format == "csv":
         raise UsageError("--local profiles are written as JSON; drop --format csv")
     return col_names, input_names, measures, _history_lengths(args)
 
@@ -529,26 +531,19 @@ def _load_series(path: str, col_names: list[str], input_names: list[str]):
     return xs, us * len(col_names) if len(input_names) == 1 else us
 
 
-def _analyze(args, default_format: str, local: bool = False) -> int:
-    """Count the named columns once, at the longest history length asked
-    for, and evaluate every asked length from that one table."""
+def cmd_analyze(args) -> int:
+    """Run ``analyze`` or ``sweep``, which differ only in the options their
+    parsers give: count the named columns once, at the longest history
+    length asked for, and evaluate every asked length from that one table."""
     col_names, input_names, measures, ks = _analysis_plan(args)
     xs, us = _load_series(args.data, col_names, input_names)
     try:
         table = count_joint(xs, us, EmbeddingConfig(ks[-1], args.input_lag))
-        results = [r for k in ks for r in infodyn.evaluate(measures, table, k=k, local=local)]
+        results = [r for k in ks for r in infodyn.evaluate(measures, table, k=k, local=args.local)]
     except ValueError as e:
         raise DataError(str(e))
-    _emit([_result_dict(r) for r in results], args.format or default_format)
+    _emit([_result_dict(r) for r in results], args.format)
     return EXIT_OK
-
-
-def cmd_analyze(args) -> int:
-    return _analyze(args, "json", local=args.local)
-
-
-def cmd_sweep(args) -> int:
-    return _analyze(args, "csv")
 
 
 def cmd_oracle(args) -> int:
@@ -564,14 +559,6 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "generate": cmd_generate,
-    "analyze": cmd_analyze,
-    "sweep": cmd_sweep,
-    "oracle": cmd_oracle,
-}
-
-
 def _emit_error(kind: str, message: str):
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
@@ -581,7 +568,7 @@ def main(argv=None) -> int:
     args = None
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as e:
         _emit_error("usage", str(e))
         return EXIT_USAGE

@@ -262,13 +262,12 @@ def local_profile(measure: str, table: JointCountTable, dist: Distribution | Non
     if not isinstance(table, JointCountTable):
         raise TypeError("local profiles need an empirical count table")
     _check_measures([measure], table)
-    if dist is None:
-        return evaluate([measure], table, local=True)[0].local
-    axes = (table.alphabet_x.size, table.n_inputs)[: 1 if measure == "ais" else 2]
-    if dist.probs.shape[1 : 1 + len(axes)] != axes:
-        raise ValueError(f"{measure!r} needs a distribution with (next, input) axes {axes}, "
-                         f"not {dist.probs.shape[1:3]}")
-    return _at_steps(_evaluate(dist, table.k), measure, table, table.k)
+    if dist is not None:
+        axes = (table.alphabet_x.size, table.n_inputs)[: 1 if measure == "ais" else 2]
+        if dist.probs.shape[1 : 1 + len(axes)] != axes:
+            raise ValueError(f"{measure!r} needs a distribution with (next, input) axes {axes}, "
+                             f"not {dist.probs.shape[1:3]}")
+    return _at_steps(_evaluate(table if dist is None else dist, table.k), measure, table, table.k)
 
 
 def local_ais(table: JointCountTable, dist: Distribution | None = None) -> LocalProfile:

@@ -143,18 +143,31 @@ class TestGenerate:
             "a1d4b7dd4f67826ffee3362c640c572b8b04f524e15e6d7ce7ecb1d43201a5d9"
         )
 
-    def test_uint8_columns_at_the_top_symbol(self):
-        # symbols up to 255 in uint8: each row's code is accumulated in
-        # int64, so 255 * 256 + 255 does not wrap
-        rng = np.random.default_rng(255)
-        n = _ROWS_PER_WRITE + 3
-        cols = [np.r_[255, 255, 0, rng.integers(0, 256, n - 3)].astype(np.uint8) for _ in range(2)]
-        out = io.StringIO()
-        cli._write_csv_rows(out, cols, [256, 256])
+    def test_one_digit_columns_match_csv_writer(self):
+        # every one-digit symbol, over two write blocks and a part of one
+        rng = np.random.default_rng(9)
+        n = 2 * _ROWS_PER_WRITE + 3
+        cols = [np.r_[9, 0, rng.integers(0, 10, n - 2)].astype(np.uint8) for _ in range(2)]
+        out = io.BytesIO()
+        cli._write_csv_rows(out, cols)
         ref = io.StringIO()
         csv.writer(ref, lineterminator="\n").writerows(zip(*(c.tolist() for c in cols)))
-        assert out.getvalue() == ref.getvalue()
-        assert out.getvalue().startswith("255,255\n255,255\n0,0\n")
+        assert out.getvalue() == ref.getvalue().encode()
+        assert out.getvalue().startswith(b"9,9\n0,0\n")
+
+    def test_unit_parsed_before_drawing(self, tmp_path, capsys, monkeypatch):
+        def drawn(*args, **kwargs):
+            raise AssertionError("the drive was drawn before --unit was parsed")
+
+        monkeypatch.setattr(procsim, "generate_input", drawn)
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(
+            capsys, "generate", "--process", "bernoulli:p=0.5", "--unit", "bogus",
+            "--n", "100000000", "--out", str(out),
+        )
+        assert (code, stdout) == (1, "")
+        assert json.loads(err) == {"error": "usage", "message": "unknown unit spec 'bogus'"}
+        assert not out.exists()
 
 
 class TestSpecParsing:
@@ -259,6 +272,19 @@ class TestAnalyze:
         assert code == 2
         msg = json.loads(err)["message"]
         assert ":3:" in msg and "output" in msg
+
+    def test_constant_column_has_one_symbol(self, tmp_path, capsys):
+        # one symbol codes 2^70 * 1 * 2 cells in 64 bits, where a
+        # two-symbol alphabet would need 2^70 * 2 * 2
+        rng = np.random.default_rng(7)
+        p = tmp_path / "constant.csv"
+        rows = [f"{u},7" for u in rng.integers(0, 2, 500)]
+        p.write_text("input,output\n" + "\n".join(rows) + "\n")
+        code, out, err = run(capsys, "analyze", "--data", str(p), "-k", "70", "--input-col", "input")
+        assert code == 0, err
+        results = read_jsonl(out)
+        assert [r["measure"] for r in results] == ["ais", "icais", "interaction"]
+        assert all(r["average_bits"] == 0.0 and r["n_transitions"] == 430 for r in results)
 
     def test_short_series_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "tiny.csv"
@@ -650,6 +676,9 @@ INGEST_CASES = [
     # a quoted line break: the line, not the record, is named
     ('"a\nb",c\n1,x\n', "{path}:3: non-integer value 'x' in column 'c'", False),
     ('a,b\n"1\n",2\n3,x\n', "{path}:4: non-integer value 'x' in column 'b'", False),
+    # blank lines are skipped before the header too
+    ("\noutput\n1\n0\n", (["output"], [[1], [0]]), False),
+    ("\n\n", "empty file: {path}", False),
 ]
 
 

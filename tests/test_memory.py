@@ -116,9 +116,9 @@ def test_local_profile_values_budget():
 def _binary_csv(path, n):
     u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), n)
     x = simulate_unit(UnitSpec("xor_memory"), u)
-    with path.open("w", newline="") as fh:
-        fh.write("input,output\n")
-        _write_csv_rows(fh, [u.data, x.data], [2, 2])
+    with path.open("wb") as fh:
+        fh.write(b"input,output\n")
+        _write_csv_rows(fh, [u.data, x.data])
     return path
 
 
@@ -153,14 +153,15 @@ def test_read_csv_cells_budget(tmp_path):
     assert peak_bytes_per_step(_read_csv_cells, data, str(path), steps=n) < 20
 
 
-class _Discard(io.TextIOBase):
-    def write(self, text):
-        return len(text)
+class _Discard(io.RawIOBase):
+    def write(self, data):
+        return len(data)
 
 
 def test_write_csv_rows_budget():
-    # measured 1.57, whatever N: one block of 2^16 rows' int64 codes, their
-    # gathered text and its join; an int64 code per step (8 bytes) breaks it
+    # measured 0.52, whatever N: one block of 2^16 rows' bytes and its
+    # copy for the write; the whole file's bytes at once (4 a row), or an
+    # int64 code per step (8), breaks it
     u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
     x = simulate_unit(UnitSpec("xor_memory"), u)
-    assert peak_bytes_per_step(_write_csv_rows, _Discard(), [u.data, x.data], [2, 2]) < 2
+    assert peak_bytes_per_step(_write_csv_rows, _Discard(), [u.data, x.data]) < 2
