@@ -194,7 +194,8 @@ def _read_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
     and both parsers take those bytes.  A body in the grammar of
     ``_read_csv_fast`` is tokenised with numpy; any other is parsed by
     ``_read_csv_cells``, which accepts what ``int()`` accepts and names
-    the line of the first bad cell.
+    the line of the first bad cell.  Both drop a leading UTF-8
+    byte-order mark.
     """
     try:
         data = Path(path).read_bytes()
@@ -239,7 +240,7 @@ def _read_csv_fast(data: bytes) -> tuple[list[str], np.ndarray] | None:
     if line is None:
         return None
     try:
-        header = next(csv.reader([line[1].decode("utf-8")], strict=True))
+        header = next(csv.reader([line[1].decode("utf-8-sig")], strict=True))
     except (UnicodeDecodeError, csv.Error):
         return None
     if not header:
@@ -332,7 +333,7 @@ def _read_csv_cells(data: bytes, path: str) -> tuple[list[str], np.ndarray]:
     The cells are collected row after row as 8-byte integers, the block's
     own layout, so no Python object per row or cell is kept."""
     # BytesIO shares the bytes, decoded a chunk at a time: StringIO would hold 4 a character
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as fh:
         try:
             reader = csv.reader(fh)
             header = next(filter(None, reader), None)

@@ -40,8 +40,7 @@ _SQUARING_TOL = 1e-12
 _WORD_CELLS = 2**12
 _WORD_MAX = 16
 
-# Raw Philox words drawn, and steps unpacked by the running XOR, per call
-# in generate_input.
+# Raw Philox words drawn per call in generate_input.
 _DRAW_CHUNK = 2**16
 
 
@@ -87,10 +86,12 @@ def generate_input(spec: ProcessSpec, n: int) -> SymbolSeries:
     if spec.kind == "bernoulli":
         _draw_below(rng, spec.p, data)
     else:
-        # u[t] is the first symbol XOR the flips before t.
+        # u[t] is the first symbol XOR the flips before t, taken in place
+        # on a bool view, since every byte is 0 or 1.
         data[0] = rng.integers(0, 2)
         _draw_below(rng, 1.0 - spec.p_stay, data[1:])
-        _running_xor(data)
+        bits = data.view(np.bool_)
+        np.logical_xor.accumulate(bits, out=bits)
     return SymbolSeries(BINARY, data)
 
 
@@ -111,39 +112,6 @@ def _draw_below(rng: np.random.Generator, p: float, out: np.ndarray) -> None:
         words = raw(min(_DRAW_CHUNK, out.size - i))
         words >>= np.uint64(11)
         np.less(words, threshold, out=out[i : i + _DRAW_CHUNK])
-
-
-def _running_xor(bits: np.ndarray) -> None:
-    """Replace a uint8 array of 0s and 1s by its running XOR, as
-    ``np.bitwise_xor.accumulate(bits, out=bits)`` would, working 64 steps
-    at a time on packed bits.
-
-    The steps are packed into little-endian 64-bit words, step t at bit t
-    mod 64 of word t // 64.  Six shifted XORs (by 1, 2, 4, ..., 32 bits)
-    make each bit the XOR of the bits below it in its word, so the top bit
-    holds the word's parity; a running XOR of those parities, one per
-    word, flips every word whose earlier words have odd parity.  The words
-    are unpacked back into ``bits`` ``_DRAW_CHUNK`` steps at a time, so
-    besides ``bits`` this holds two bits per step at most.
-    """
-    words = np.zeros(-(-bits.size // 64), dtype="<u8")
-    packed = words.view(np.uint8)
-    packed[: -(-bits.size // 8)] = np.packbits(bits, bitorder="little")
-    for shift in (1, 2, 4, 8, 16, 32):
-        words ^= words << np.uint64(shift)
-    carry = words >> np.uint64(63)
-    np.bitwise_xor.accumulate(carry, out=carry)
-    # Word j is flipped, XORed with all ones, when words 0..j-1 have odd
-    # parity.
-    carry[1:] = carry[:-1]
-    carry[0] = 0
-    words ^= np.negative(carry, out=carry)
-    # _DRAW_CHUNK is a multiple of 8, so each chunk starts on a byte.
-    for i in range(0, bits.size, _DRAW_CHUNK):
-        chunk = bits[i : i + _DRAW_CHUNK]
-        chunk[...] = np.unpackbits(
-            packed[i // 8 : (i + _DRAW_CHUNK) // 8], count=chunk.size, bitorder="little"
-        )
 
 
 class TableUnit:
@@ -352,7 +320,7 @@ def build_joint_chain(proc: ProcessSpec, unit: TableUnit, k: int) -> MarkovChain
         raise ValueError("input process alphabet does not match the unit")
     # u0 is drawn as generate_input draws it: Bernoulli(p), else uniformly
     start = np.zeros(nu * ns)
-    first = pu[0] if getattr(proc, "kind", None) == "bernoulli" else np.full(nu, 1 / nu)
+    first = pu[0] if proc.kind == "bernoulli" else np.full(nu, 1 / nu)
     start[np.arange(nu) * ns + unit.next_state[unit.initial_state]] = first
 
     # [s, h, u'] -> (u' * S + next_state[s, u']) * nh + (h * nx + output[s, u']) % nh

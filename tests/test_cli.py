@@ -1,3 +1,4 @@
+import codecs
 import csv
 import hashlib
 import io
@@ -31,6 +32,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_piped(argv, data):
+    """Run the CLI in a subprocess with ``data`` piped to /dev/stdin, the
+    last argument."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "infostorage.cli", *argv, "/dev/stdin"],
+        input=data, capture_output=True, env=env, timeout=60,
+    )
 
 
 def read_jsonl(out):
@@ -679,6 +693,9 @@ INGEST_CASES = [
     # blank lines are skipped before the header too
     ("\noutput\n1\n0\n", (["output"], [[1], [0]]), False),
     ("\n\n", "empty file: {path}", False),
+    # a leading UTF-8 byte-order mark is dropped by both parsers
+    ("\ufeffinput,output\n0,1\n1,0\n", (["input", "output"], [[0, 1], [1, 0]]), True),
+    ('\ufeffinput,output\n"0",1\n1,0\n', (["input", "output"], [[0, 1], [1, 0]]), False),
 ]
 
 
@@ -787,14 +804,23 @@ class TestIngest:
         argv = ["analyze", "-k", "3", "--input-col", "input", "--local", "--data"]
         code, want, err = run(capsys, *argv, str(p))
         assert code == 0, err
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")])
-        )
-        piped = subprocess.run(
-            [sys.executable, "-m", "infostorage.cli", *argv, "/dev/stdin"],
-            input=p.read_bytes(), capture_output=True, env=env, timeout=60,
-        )
+        piped = run_piped(argv, p.read_bytes())
+        assert (piped.returncode, piped.stderr) == (0, b"")
+        assert piped.stdout.decode() == want
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["tokenized", "quoted cell"])
+    def test_byte_order_mark_reads_as_the_file_without_it(self, tmp_path, capsys, quoted):
+        p = gen_file(tmp_path, capsys, "markov:p_stay=0.7", "xor", 2_000, seed=5)
+        if quoted:
+            header, body = p.read_text().split("\n", 1)
+            p.write_text(f'{header}\n"{body[0]}"{body[1:]}')
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + p.read_bytes())
+        argv = ["analyze", "-k", "3", "--input-col", "input", "--local", "--data"]
+        code, want, err = run(capsys, *argv, str(p))
+        assert code == 0, err
+        assert run(capsys, *argv, str(marked)) == (0, want, "")
+        piped = run_piped(argv, marked.read_bytes())
         assert (piped.returncode, piped.stderr) == (0, b"")
         assert piped.stdout.decode() == want
 

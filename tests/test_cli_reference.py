@@ -31,7 +31,7 @@ TOL = 1e-12
 def reference_columns(path):
     """The file's columns by name; ValueError unless every line after the
     header has one symbol, from 0 to 2^63 - 1, per column."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row]
     header = [name.strip() for name in rows[0]]
     body = [[int(cell) for cell in row] for row in rows[1:]]

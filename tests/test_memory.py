@@ -44,8 +44,8 @@ def peak_bytes_per_step(fn, *args, steps=N):
 )
 def test_generate_input_budget(spec):
     # measured 2.05 for both: the uint8 series with its copy; the raw draws
-    # are made 2^16 at a time and the running XOR holds two bits per step,
-    # so neither is held a byte per step
+    # are made 2^16 at a time and the running XOR is taken in place, so
+    # neither holds a byte per step
     assert peak_bytes_per_step(generate_input, spec, N) < 3.5
 
 

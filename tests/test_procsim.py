@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +22,7 @@ from infostorage import (
     simulate_unit,
     stationary_distribution,
 )
-from infostorage.procsim import PAIR_LIMIT, STATE_SPACE_LIMIT, _running_xor
+from infostorage.procsim import PAIR_LIMIT, STATE_SPACE_LIMIT
 
 
 def step_loop(unit, u):
@@ -148,8 +146,7 @@ class TestGenerateInput:
         with pytest.raises(ValueError):
             generate_input(ProcessSpec("bernoulli", p=0.5), 0)
 
-    # The lengths straddle a 64-step word of the packed running XOR and
-    # the _DRAW_CHUNK of raw draws.
+    # The lengths straddle 64 steps and the _DRAW_CHUNK of raw draws.
     @pytest.mark.parametrize("n", [1, 2, 10**5, 63, 64, 65, 2**16, 2**16 + 1, 2**16 + 65])
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
     def test_seeded_series_match_the_int64_draws(self, n, seed):
@@ -183,15 +180,6 @@ class TestGenerateInput:
             got = generate_input(ProcessSpec("bernoulli", p=float(p), seed=3), 64).data
             assert got[t] == want
             assert np.array_equal(got, draws < p)
-
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 129, 2**16, 2**16 + 1, 2**16 + 65])
-    def test_running_xor_matches_accumulate(self, n):
-        rng = np.random.default_rng(n)
-        for p in (0.0, 0.3, 0.5, 1.0):
-            flips = (rng.random(n) < p).astype(np.uint8)
-            want = np.bitwise_xor.accumulate(flips)
-            _running_xor(flips)
-            assert np.array_equal(flips, want)
 
 
 class TestSimulateUnit:
@@ -451,10 +439,10 @@ class TestJointChain:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
             build_joint_chain(ProcessSpec("bernoulli", p=0.5), UnitSpec("xor_memory"), 0)
-        # a law over three input symbols against a unit that reads two
-        ternary = SimpleNamespace(transition_matrix=lambda: np.full((3, 3), 1 / 3))
+        # a binary drive against a unit that reads three input symbols
+        ternary = TableUnit(next_state=[[0, 0, 0]], output=[[0, 1, 0]], n_outputs=2)
         with pytest.raises(ValueError, match="does not match the unit"):
-            build_joint_chain(ternary, UnitSpec("xor_memory"), 1)
+            build_joint_chain(ProcessSpec("bernoulli", p=0.5), ternary, 1)
 
     def test_one_output_symbol_has_one_history_at_any_k(self):
         silent = TableUnit(next_state=[[0, 0]], output=[[0, 0]], n_outputs=1)
