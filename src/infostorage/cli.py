@@ -62,20 +62,19 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="CSV output path")
     gen.set_defaults(run=cmd_generate)
 
+    def add_output_args(p):
+        p.add_argument("--measure", default="all", choices=[*infodyn.MEASURES, "all"])
+        p.add_argument("--format", choices=["json", "csv"])
+
     def add_analysis_args(p):
         p.add_argument("--data", required=True, help="CSV input path")
-        p.add_argument(
-            "--measure",
-            default="all",
-            choices=["ais", "icais", "interaction", "all"],
-        )
+        add_output_args(p)
         p.add_argument("--cols", default="output", help="comma list of output columns")
         p.add_argument(
             "--input-col",
             help="input column name; comma list for per-process inputs",
         )
         p.add_argument("--input-lag", type=int, default=0)
-        p.add_argument("--format", choices=["json", "csv"])
 
     ana = sub.add_parser("analyze", help="estimate measures from a CSV file")
     add_analysis_args(ana)
@@ -91,14 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="exact values from the Markov-chain oracle")
     orc.add_argument("--process", required=True)
     orc.add_argument("--unit", required=True)
-    orc.add_argument(
-        "--measure", default="all", choices=["ais", "icais", "interaction", "all"]
-    )
+    add_output_args(orc)
     group = orc.add_mutually_exclusive_group(required=True)
     group.add_argument("-k", type=int)
     group.add_argument("--k-range", help="inclusive range, e.g. 1:4")
-    orc.add_argument("--format", choices=["json", "csv"], default="json")
-    orc.set_defaults(run=cmd_oracle)
+    orc.set_defaults(run=cmd_oracle, format="json")
     return parser
 
 
@@ -381,58 +377,43 @@ def _series_from_columns(data: dict[str, np.ndarray], names: list[str]) -> list[
     return [SymbolSeries(alphabet, r) for r in np.split(ranks, ends)]
 
 
-def _result_dict(res: infodyn.MeasureResult) -> dict:
-    out = {
-        "schema": SCHEMA,
-        "measure": res.measure,
-        "k": res.k,
-        "average_bits": res.average_bits,
-        "n_transitions": res.n_transitions,
-        "source": res.source,
-    }
-    if res.local is not None:
-        out["local"] = res.local
-        out["start_index"] = res.local.start_index
-    return out
-
-
-def _write_json_line(out, record: dict) -> None:
-    """Write ``json.dumps(record) + "\\n"`` for a flat dict whose values
-    may include a local profile, written as the list of its per-step
-    values ``json.dumps`` would write, one piece at a time.
+def _write_profile(out, profile: infodyn.LocalProfile) -> None:
+    """Write the list of the profile's per-step values as ``json.dumps``
+    writes it, one piece at a time.
 
     A step's local value depends only on its cell, so each distinct cell
     value is formatted once, and the text is gathered by step and joined a
     block at a time.
     """
-    out.write("{")
-    for i, (key, value) in enumerate(record.items()):
-        out.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-        if not isinstance(value, infodyn.LocalProfile):
-            out.write(json.dumps(value))
-            continue
-        # Unique bit patterns keep -0.0 apart from 0.0.
-        bits, inverse = np.unique(value.cell_values.view(np.int64), return_inverse=True)
-        text = np.array([json.dumps(v) for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
-        steps = value.transitions
-        out.write("[")
-        for start in range(0, steps.size, _ROWS_PER_WRITE):
-            out.write(", " if start else "")
-            out.write(", ".join(text[steps[start:start + _ROWS_PER_WRITE]].tolist()))
-        out.write("]")
-    out.write("}\n")
+    # Unique bit patterns keep -0.0 apart from 0.0.
+    bits, inverse = np.unique(profile.cell_values.view(np.int64), return_inverse=True)
+    text = np.array([json.dumps(v) for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
+    steps = profile.transitions
+    out.write("[")
+    for start in range(0, steps.size, _ROWS_PER_WRITE):
+        out.write(", " if start else "")
+        out.write(", ".join(text[steps[start:start + _ROWS_PER_WRITE]].tolist()))
+    out.write("]")
 
 
-def _emit(results: list[dict], fmt: str):
-    """Write the results as CSV or JSON lines."""
+def _emit(results: list[infodyn.MeasureResult], fmt: str):
+    """Write the results as CSV or JSON lines; a result's local profile
+    and its start index close its JSON line."""
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["measure", "k", "average_bits", "n_transitions"])
         for r in results:
-            writer.writerow([r["measure"], r["k"], f"{r['average_bits']:.15g}", r["n_transitions"]])
-    else:
-        for r in results:
-            _write_json_line(sys.stdout, r)
+            writer.writerow([r.measure, r.k, f"{r.average_bits:.15g}", r.n_transitions])
+        return
+    for r in results:
+        line = json.dumps({"schema": SCHEMA, "measure": r.measure, "k": r.k, "average_bits": r.average_bits,
+                           "n_transitions": r.n_transitions, "source": r.source})
+        if r.local is None:
+            sys.stdout.write(line + "\n")
+            continue
+        sys.stdout.write(line[:-1] + ', "local": ')
+        _write_profile(sys.stdout, r.local)
+        sys.stdout.write(f', "start_index": {json.dumps(r.local.start_index)}}}\n')
 
 
 def _write_csv_rows(fh, columns: list[np.ndarray]) -> None:
@@ -485,23 +466,24 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _column_names(text: str, option: str) -> list[str]:
+    names = [c.strip() for c in text.split(",") if c.strip()]
+    if not names:
+        raise UsageError(f"{option} must name at least one column")
+    return names
+
+
 def _analysis_plan(args) -> tuple[list[str], list[str], list[str], range]:
     """Output columns, input columns, measures and history lengths the
     arguments name.
 
     Checked before the CSV is read, so a usage error costs no ingest.
     """
-    col_names = [c.strip() for c in args.cols.split(",") if c.strip()]
-    if not col_names:
-        raise UsageError("--cols must name at least one column")
+    col_names = _column_names(args.cols, "--cols")
     repeated = sorted(c for c, n in Counter(col_names).items() if n > 1)
     if repeated:
         raise UsageError(f"--cols names column(s) {repeated} more than once")
-    input_names = (
-        [c.strip() for c in args.input_col.split(",") if c.strip()]
-        if args.input_col
-        else []
-    )
+    input_names = [] if args.input_col is None else _column_names(args.input_col, "--input-col")
     if input_names and len(input_names) not in (1, len(col_names)):
         raise UsageError(
             "--input-col must name one shared column or one per output column"
@@ -543,7 +525,7 @@ def cmd_analyze(args) -> int:
         results = [r for k in ks for r in infodyn.evaluate(measures, table, k=k, local=args.local)]
     except ValueError as e:
         raise DataError(str(e))
-    _emit([_result_dict(r) for r in results], args.format)
+    _emit(results, args.format)
     return EXIT_OK
 
 
@@ -555,8 +537,7 @@ def cmd_oracle(args) -> int:
     measures = _measures(args.measure, True)
     ks = _history_lengths(args)
     joint = procsim.oracle_joint(proc, unit, ks[-1])
-    results = [r for k in ks for r in infodyn.evaluate(measures, joint, k=k)]
-    _emit([_result_dict(r) for r in results], args.format)
+    _emit([r for k in ks for r in infodyn.evaluate(measures, joint, k=k)], args.format)
     return EXIT_OK
 
 

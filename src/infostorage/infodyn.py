@@ -74,11 +74,19 @@ class LocalProfile:
 
 @dataclass(frozen=True)
 class MeasureResult:
+    """One measure's average, in bits, at history length ``k``.
+
+    ``source`` is ``"empirical"`` for a count table and ``"oracle"`` for an
+    exact joint distribution; ``n_transitions`` is the table's count of
+    transitions, and 0 for oracle results.  ``local`` is set only by
+    ``evaluate(..., local=True)`` on a count table.
+    """
+
     measure: str
     k: int
     average_bits: float
     n_transitions: int
-    source: str  # "empirical" | "oracle"
+    source: str
     local: LocalProfile | None = None
 
 
@@ -207,15 +215,17 @@ def evaluate(
     required, and may be any length from 1 to its own (|X|**K histories):
     the joint is then marginalised onto the last k history symbols.  Each
     average is the probability-weighted sum of the per-cell local values;
-    ``local`` attaches local profiles, which exist for count tables only.
+    ``local`` attaches local profiles, which exist for count tables only:
+    asking for them from a distribution raises TypeError.
     """
     _check_measures(measures, source)
     table = source if isinstance(source, JointCountTable) else None
+    if local and table is None:
+        raise TypeError("local profiles need an empirical count table")
     k = table.k if table is not None and k is None else k
     if k is None:
         raise ValueError("k must be given when evaluating a bare distribution")
     cells = _evaluate(source, k)
-    local = local and table is not None
     return [
         MeasureResult(
             measure=m,

@@ -23,7 +23,7 @@ from infostorage.cli import (
     _read_csv,
     _read_csv_cells,
     _read_csv_fast,
-    _write_json_line,
+    _write_profile,
     main,
 )
 
@@ -513,23 +513,21 @@ class TestAnalyze:
             # one cell per step
             steps = np.arange(array.size, dtype=np.int32)
             profile = infodyn.LocalProfile("ais", 1, array, steps, np.ones(array.size, dtype=np.int64), 1)
-            record = {"measure": "ais", "local": profile, "start_index": 1}
             out = io.StringIO()
-            _write_json_line(out, record)
-            assert out.getvalue() == json.dumps({**record, "local": array.tolist()}) + "\n"
+            _write_profile(out, profile)
+            assert out.getvalue() == json.dumps(array.tolist())
 
     def test_json_profile_formats_each_cell_once(self, monkeypatch):
         # many steps over four cells, holding 0.0, -0.0, NaN and 1/3
         cell_values = np.array([0.0, -0.0, np.nan, 1 / 3])
         steps = np.random.default_rng(3).integers(0, 4, 3 * _ROWS_PER_WRITE + 7).astype(np.int32)
         profile = infodyn.LocalProfile("ais", 1, cell_values, steps, np.bincount(steps, minlength=4), 2)
-        record = {"measure": "ais", "local": profile, "start_index": 2}
         formatted = []
         real_dumps = json.dumps
         monkeypatch.setattr(cli.json, "dumps", lambda v: formatted.append(v) or real_dumps(v))
         out = io.StringIO()
-        _write_json_line(out, record)
-        assert out.getvalue() == real_dumps({**record, "local": cell_values[steps].tolist()}) + "\n"
+        _write_profile(out, profile)
+        assert out.getvalue() == real_dumps(cell_values[steps].tolist())
         assert sum(isinstance(v, float) for v in formatted) == 4
 
     def test_symbol_beyond_int64_is_data_error(self, tmp_path, capsys):
@@ -585,6 +583,8 @@ class TestAnalyze:
         ["analyze", "-k", "1", "--measure", "bogus"],
         ["analyze", "-k", "x"],
         ["sweep", "--k-range", "a:b"],
+        ["analyze", "-k", "1", "--cols", "a", "--input-col", ","],
+        ["analyze", "-k", "1", "--cols", "a", "--input-col", ""],
     ])
     def test_usage_checked_before_ingest(self, tmp_path, capsys, argv):
         # the file does not exist: reading it first would be a data error

@@ -542,6 +542,8 @@ class TestHeldOutLocals:
         joint = oracle_joint(U2, XOR, 1)
         with pytest.raises(TypeError, match="need an empirical count table"):
             local_profile("ais", joint, joint)
+        with pytest.raises(TypeError, match="need an empirical count table"):
+            evaluate(["ais"], joint, k=1, local=True)
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_next_axis_must_match(self, rng, measure):

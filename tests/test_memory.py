@@ -24,7 +24,7 @@ from infostorage import (
     infodyn,
     simulate_unit,
 )
-from infostorage.cli import _load_series, _read_csv, _read_csv_cells, _write_csv_rows, _write_json_line
+from infostorage.cli import _load_series, _read_csv, _read_csv_cells, _write_csv_rows, _write_profile
 
 N = 10**6
 
@@ -88,8 +88,7 @@ def test_write_local_profile_budget():
     x = simulate_unit(UnitSpec("xor_memory"), u)
     table = count_joint(x, u, EmbeddingConfig(4))
     (res,) = infodyn.evaluate(["ais"], table, local=True)
-    record = {"measure": "ais", "local": res.local, "start_index": res.local.start_index}
-    assert peak_bytes_per_step(_write_json_line, io.StringIO(), record) < 26
+    assert peak_bytes_per_step(_write_profile, io.StringIO(), res.local) < 26
 
 
 @pytest.mark.parametrize("measure", ["ais", "icais"])
