@@ -99,17 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _measures(name: str, has_input: bool) -> list[str]:
-    names = list(infodyn.MEASURES) if name == "all" else [name]
-    if not has_input:
-        needing = [m for m in names if m in ("icais", "interaction")]
-        if name == "all":
-            names = [m for m in names if m not in needing]
-        elif needing:
-            raise UsageError(
-                f"measure '{name}' conditions on the input; pass --input-col "
-                "to name the input column"
-            )
-    return names
+    """The measures ``--measure`` names: every measure but AIS needs an input."""
+    if name == "all":
+        return list(infodyn.MEASURES) if has_input else ["ais"]
+    if name != "ais" and not has_input:
+        raise UsageError(f"measure '{name}' conditions on the input; "
+                         "pass --input-col to name the input column")
+    return [name]
 
 
 def _history_lengths(args) -> range:
@@ -416,19 +412,22 @@ def _emit(results: list[infodyn.MeasureResult], fmt: str):
         sys.stdout.write(f', "start_index": {json.dumps(r.local.start_index)}}}\n')
 
 
-def _write_csv_rows(fh, columns: list[np.ndarray]) -> None:
+def _write_csv(fh, columns: dict[str, np.ndarray]) -> None:
     """Write to the binary file ``fh`` the lines ``csv.writer`` writes for
-    rows of one-digit symbols: every column holds symbols 0 to 9.
+    a header of the column names, which need no quoting, and the rows of
+    the one-digit columns: every column holds symbols 0 to 9.
 
     Each block of rows is filled into one uint8 array of its bytes, a digit
     at every even offset, a comma between digits and a line end last, and
     written at once, so memory beyond the columns stays bounded.
     """
-    for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
-        rows = min(_ROWS_PER_WRITE, len(columns[0]) - start)
-        block = np.full((rows, 2 * len(columns)), ord(","), dtype=np.uint8)
+    fh.write(",".join(columns).encode() + b"\n")
+    cols = list(columns.values())
+    for start in range(0, len(cols[0]), _ROWS_PER_WRITE):
+        rows = min(_ROWS_PER_WRITE, len(cols[0]) - start)
+        block = np.full((rows, 2 * len(cols)), ord(","), dtype=np.uint8)
         block[:, -1] = ord("\n")
-        for j, col in enumerate(columns):
+        for j, col in enumerate(cols):
             block[:, 2 * j] = col[start:start + rows] + ord("0")
         fh.write(block.tobytes())
 
@@ -441,16 +440,12 @@ def cmd_generate(args) -> int:
     proc = _parse_process_spec(args.process, seed=args.seed)
     unit_spec = _parse_unit_spec(args.unit) if args.unit else None
     u = procsim.generate_input(proc, args.n)
+    columns = ({"output": u.data} if unit_spec is None
+               else {"input": u.data, "output": procsim.simulate_unit(unit_spec, u).data})
     out_path = Path(args.out)
     try:
         with out_path.open("wb") as fh:
-            if unit_spec is not None:
-                x = procsim.simulate_unit(unit_spec, u)
-                fh.write(b"input,output\n")
-                _write_csv_rows(fh, [u.data, x.data])
-            else:
-                fh.write(b"output\n")
-                _write_csv_rows(fh, [u.data])
+            _write_csv(fh, columns)
         meta = {
             "schema": SCHEMA,
             "process": args.process,

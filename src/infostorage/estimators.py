@@ -38,10 +38,7 @@ class Distribution:
 def plugin_distribution(table: JointCountTable) -> Distribution:
     """Maximum-likelihood (plug-in) distribution: counts / total, as a
     dense (history, next, input) array."""
-    total = table.total
-    if total == 0:
-        raise ValueError("cannot normalize an empty count table")
     nx = table.alphabet_x.size
     probs = np.zeros((nx**table.k, nx, table.n_inputs))
-    probs.ravel()[table.cells] = table.counts / total
+    probs.ravel()[table.cells] = table.counts / table.total
     return Distribution(probs)

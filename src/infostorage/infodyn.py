@@ -115,8 +115,6 @@ def _weighted_cells(source, k: int):
         raise TypeError(f"expected JointCountTable or Distribution, got {type(source)!r}")
     if not 1 <= k <= own_k:
         raise ValueError(f"k={k} is outside 1..{own_k}, the {name}'s history lengths")
-    if total == 0:
-        raise ValueError("cannot evaluate an empty count table")
     if k == own_k:
         return codes, weights / total, nx, nu
     # The oldest history digit is the most significant, so a cell's code

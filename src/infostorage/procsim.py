@@ -44,10 +44,6 @@ _WORD_MAX = 16
 _DRAW_CHUNK = 2**16
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
-
-
 @dataclass(frozen=True)
 class ProcessSpec:
     """An input process: i.i.d. Bernoulli draws, or a binary Markov chain
@@ -81,7 +77,7 @@ def generate_input(spec: ProcessSpec, n: int) -> SymbolSeries:
     """Draw a length-n realization of the input process, reproducibly."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = _rng(spec.seed)
+    rng = np.random.Generator(np.random.Philox(spec.seed))
     data = np.empty(n, dtype=np.uint8)
     if spec.kind == "bernoulli":
         _draw_below(rng, spec.p, data)

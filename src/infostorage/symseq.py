@@ -158,6 +158,10 @@ class JointCountTable:
     otherwise; both give the same arrays, and memory is O(N + observed
     cells) either way, whatever the alphabet sizes.
 
+    The constructor checks this contract, so no table is empty: at least
+    one cell, strictly increasing in the cell space, each counted at least
+    once, and every step's index naming a cell.
+
     ``cells`` and ``counts`` are held as int64, and ``transitions`` in the
     narrowest dtype that indexes the observed cells: uint8 up to 2^8 cells,
     uint16 up to 2^16, uint32 up to 2^32 and int64 beyond, so a step's
@@ -189,8 +193,16 @@ class JointCountTable:
             object.__setattr__(self, name, arr)
         if self.cells.shape != self.counts.shape:
             raise ValueError("cells and counts must have the same length")
-        if self.counts.size and self.counts.min() < 0:
-            raise ValueError("counts must be non-negative")
+        if self.cells.size < 1:
+            raise ValueError("cannot build an empty count table")
+        if self.counts.min() < 1:
+            raise ValueError("counts must be non-negative and nonzero")
+        # With |X| >= 2 every int64 code lies below |X|**64, so the exponent
+        # is capped there; with |X| = 1 the space is |U|.
+        space = self.alphabet_x.size ** min(self.k + 1, 64) * self.n_inputs
+        if not (np.all(self.cells[1:] > self.cells[:-1])
+                and 0 <= int(self.cells[0]) and int(self.cells[-1]) < space):
+            raise ValueError(f"cells must be strictly increasing codes in [0, {space})")
 
     @property
     def n_inputs(self) -> int:
@@ -289,8 +301,9 @@ def _flat_codes(xs, us, cfg: EmbeddingConfig, start: int, dtype: np.dtype) -> np
         part = codes[end - m : end]
         # Horner over the window x[t-k..t], oldest symbol first, gives the
         # (history, next) code h * |X| + x of the step whose next is x[t].
+        # With |X| = 1 every window codes 0, so the k passes are skipped.
         part[...] = x.data[start - k : start - k + m]
-        for j in range(1, k + 1):
+        for j in range(1, k + 1 if x.alphabet.size > 1 else 1):
             part *= x.alphabet.size
             part += x.data[start - k + j : start - k + j + m]
         if u is not None:

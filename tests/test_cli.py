@@ -163,11 +163,31 @@ class TestGenerate:
         n = 2 * _ROWS_PER_WRITE + 3
         cols = [np.r_[9, 0, rng.integers(0, 10, n - 2)].astype(np.uint8) for _ in range(2)]
         out = io.BytesIO()
-        cli._write_csv_rows(out, cols)
+        cli._write_csv(out, {"input": cols[0], "output": cols[1]})
         ref = io.StringIO()
-        csv.writer(ref, lineterminator="\n").writerows(zip(*(c.tolist() for c in cols)))
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(["input", "output"])
+        writer.writerows(zip(*(c.tolist() for c in cols)))
         assert out.getvalue() == ref.getvalue().encode()
-        assert out.getvalue().startswith(b"9,9\n0,0\n")
+        assert out.getvalue().startswith(b"input,output\n9,9\n0,0\n")
+
+    def test_failed_simulation_leaves_out_untouched(self, tmp_path, capsys, monkeypatch):
+        # the unit is simulated before --out is opened, so a failure there
+        # neither truncates an existing file nor writes its metadata
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(procsim, "simulate_unit", exhausted)
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"input,output\n0,1\n")
+        code, stdout, err = run(
+            capsys, "generate", "--process", "bernoulli:p=0.5", "--unit", "xor",
+            "--n", "1000", "--out", str(out),
+        )
+        assert (code, stdout) == (3, "")
+        assert json.loads(err)["error"] == "numerical"
+        assert out.read_bytes() == b"input,output\n0,1\n"
+        assert not (tmp_path / "x.csv.meta.json").exists()
 
     def test_unit_parsed_before_drawing(self, tmp_path, capsys, monkeypatch):
         def drawn(*args, **kwargs):

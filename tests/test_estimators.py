@@ -50,7 +50,7 @@ class TestPluginDistribution:
     def test_empty_rejected(self):
         from infostorage.symseq import JointCountTable
 
+        # the table refuses to be empty, so no plug-in distribution meets one
         none = np.zeros(0, dtype=int)
-        empty = JointCountTable(1, BINARY, None, none, none, none)
-        with pytest.raises(ValueError):
-            plugin_distribution(empty)
+        with pytest.raises(ValueError, match="empty count table"):
+            JointCountTable(1, BINARY, None, none, none, none)

@@ -343,9 +343,8 @@ class TestSweepK:
             evaluate(["ais"], Distribution([0.5, 0.5]), k=1)
         with pytest.raises(TypeError, match="JointCountTable or Distribution"):
             evaluate(["ais"], [[[0.5, 0.5]]], k=1)
-        empty = JointCountTable(1, BINARY, None, cells=[], counts=[], transitions=[])
         with pytest.raises(ValueError, match="empty count table"):
-            evaluate(["ais"], empty)
+            JointCountTable(1, BINARY, None, cells=[], counts=[], transitions=[])
 
     def test_empirical_sweep_runs(self):
         u = generate_input(U2, 20_000)
@@ -715,7 +714,12 @@ class TestStepIndexDtype:
         ([[0, 1]], [1], "cells must be one-dimensional"),
         ([0, 1, 2], [1, 1], "same length"),
         ([0, 1], [1, -1], "non-negative"),
-    ], ids=["2-D-cells", "unequal-lengths", "negative-count"])
+        ([3, 0], [1, 1], "strictly increasing"),
+        ([0, 0], [1, 1], "strictly increasing"),
+        ([0, 9], [1, 1], r"codes in \[0, 4\)"),
+        ([0, 1], [1, 0], "nonzero"),
+    ], ids=["2-D-cells", "unequal-lengths", "negative-count", "unsorted-cells", "repeated-cell",
+            "cell-outside-space", "zero-count"])
     def test_malformed_cells_and_counts(self, cells, counts, match):
         with pytest.raises(ValueError, match=match):
             JointCountTable(1, BINARY, None, cells, counts, [0])

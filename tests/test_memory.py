@@ -24,7 +24,7 @@ from infostorage import (
     infodyn,
     simulate_unit,
 )
-from infostorage.cli import _load_series, _read_csv, _read_csv_cells, _write_csv_rows, _write_profile
+from infostorage.cli import _load_series, _read_csv, _read_csv_cells, _write_csv, _write_profile
 
 N = 10**6
 
@@ -116,8 +116,7 @@ def _binary_csv(path, n):
     u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), n)
     x = simulate_unit(UnitSpec("xor_memory"), u)
     with path.open("wb") as fh:
-        fh.write(b"input,output\n")
-        _write_csv_rows(fh, [u.data, x.data])
+        _write_csv(fh, {"input": u.data, "output": x.data})
     return path
 
 
@@ -163,4 +162,4 @@ def test_write_csv_rows_budget():
     # int64 code per step (8), breaks it
     u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
     x = simulate_unit(UnitSpec("xor_memory"), u)
-    assert peak_bytes_per_step(_write_csv_rows, _Discard(), [u.data, x.data]) < 2
+    assert peak_bytes_per_step(_write_csv, _Discard(), {"input": u.data, "output": x.data}) < 2

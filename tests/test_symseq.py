@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,21 @@ class TestCountJoint:
         x = SymbolSeries(Alphabet(2**20), np.arange(10))
         with pytest.raises(ValueError, match="reduce k"):
             count_joint(x, None, EmbeddingConfig(3))
+
+    def test_one_symbol_series_skips_the_history_passes(self, rng):
+        # |X| = 1 keeps the cell space at |U| whatever k, and every history
+        # codes 0: k Horner passes over N steps took 3.1 s here
+        n, k = 4 * 10**5, 2 * 10**5
+        x = SymbolSeries(Alphabet(1), np.zeros(n, dtype=np.uint8))
+        u = random_series(rng, n, 2)
+        start = time.perf_counter()
+        t = count_joint(x, u, EmbeddingConfig(k))
+        elapsed = time.perf_counter() - start
+        want = np.bincount(u.data[k:], minlength=2)
+        assert t.cells.tolist() == np.flatnonzero(want).tolist()
+        assert t.counts.tolist() == want[want > 0].tolist()
+        assert t.cells[t.transitions].tolist() == u.data[k:].tolist()
+        assert elapsed < 0.5
 
 
 class TestCountJointEnsemble:
