@@ -207,8 +207,8 @@ _BYTE_CLASS = bytes(_CLASS_OF.get(b, _OTHER) for b in range(256))
 # Body bytes tokenised at a time, cut at a line end: the temporaries, a few
 # bytes per body byte, stay in cache.
 _CSV_CHUNK = 1 << 16
-# The first line and its line end; a lone \r is left to the reference parser.
-_HEADER_LINE = re.compile(rb"([^\r\n]*)(?:\r\n|\n)")
+# A byte-order mark, blank lines, the header line; a lone \r is left to the reference parser.
+_HEADER_LINE = re.compile(rb"(?:\xef\xbb\xbf)?(?:\r?\n)*([^\r\n]*)(?:\r\n|\n)")
 # Decimal digits of the longest field: 2^63 has 19.
 _FIELD_DIGITS = 19
 
@@ -216,23 +216,23 @@ _FIELD_DIGITS = 19
 def _read_csv_fast(data: bytes) -> tuple[list[str], np.ndarray] | None:
     """Columns of a file whose body is in the fast grammar, or None.
 
-    ``data`` is the file's bytes.  Its header is the first line, split by
-    ``csv``; it must end in \\n or \\r\\n.  The body is ASCII: lines end in
-    \\n or \\r\\n (or at its end), blank lines are skipped, and every other
-    line holds one field per header column, separated by commas.  A field
-    is an optional + or - and one to 19 digits, with any ASCII spaces and
-    tabs on either side, and its value lies from -2^63 to 2^63-1.  Such a
-    body reads as ``_read_csv_cells`` reads it, though into the narrowest
-    dtype that holds every value: uint8, uint16 or uint32 while no value
-    is negative or beyond 2^32-1, else int64.  Any other file, an empty
-    body included, gives None.  An unended last line is closed with a
-    line end in a copy of its own chunk, never of the file.
+    ``data`` is the file's bytes.  Its header, split by ``csv``, is the first
+    line after any byte-order mark and blank lines, all ending in \\n or
+    \\r\\n.  The body is ASCII: lines end in \\n or \\r\\n (or at its end),
+    blank lines are skipped, and every other line holds one field per header
+    column, separated by commas.  A field is an optional + or - and one to 19
+    digits, with any ASCII spaces and tabs on either side, and its value lies
+    from -2^63 to 2^63-1.  Such a body reads as ``_read_csv_cells`` reads it,
+    though into the narrowest dtype that holds every value: uint8, uint16 or
+    uint32 while no value is negative or beyond 2^32-1, else int64.  Any other
+    file, an empty body included, gives None.  An unended last line is closed
+    with a line end in a copy of its own chunk, never of the file.
     """
     line = _HEADER_LINE.match(data)
     if line is None:
         return None
     try:
-        header = next(csv.reader([line[1].decode("utf-8-sig")], strict=True))
+        header = next(csv.reader([line[1].decode("utf-8")], strict=True))
     except (UnicodeDecodeError, csv.Error):
         return None
     if not header:
@@ -373,18 +373,17 @@ def _series_from_columns(data: dict[str, np.ndarray], names: list[str]) -> list[
     return [SymbolSeries(alphabet, r) for r in np.split(ranks, ends)]
 
 
-def _write_profile(out, profile: infodyn.LocalProfile) -> None:
-    """Write the list of the profile's per-step values as ``json.dumps``
-    writes it, one piece at a time.
+def _write_profile(out, cell_values: np.ndarray, steps: np.ndarray) -> None:
+    """Write a local profile's per-step values ``cell_values[steps]`` as
+    ``json.dumps`` writes their list, one piece at a time.
 
     A step's local value depends only on its cell, so each distinct cell
     value is formatted once, and the text is gathered by step and joined a
     block at a time.
     """
     # Unique bit patterns keep -0.0 apart from 0.0.
-    bits, inverse = np.unique(profile.cell_values.view(np.int64), return_inverse=True)
+    bits, inverse = np.unique(cell_values.view(np.int64), return_inverse=True)
     text = np.array([json.dumps(v) for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
-    steps = profile.transitions
     out.write("[")
     for start in range(0, steps.size, _ROWS_PER_WRITE):
         out.write(", " if start else "")
@@ -408,7 +407,7 @@ def _emit(results: list[infodyn.MeasureResult], fmt: str):
             sys.stdout.write(line + "\n")
             continue
         sys.stdout.write(line[:-1] + ', "local": ')
-        _write_profile(sys.stdout, r.local)
+        _write_profile(sys.stdout, r.local.cell_values, r.local.table.transitions)
         sys.stdout.write(f', "start_index": {json.dumps(r.local.start_index)}}}\n')
 
 

@@ -34,42 +34,45 @@ class LocalProfile:
     """Local measure values (bits) of a count table's time steps, held per
     cell: a step's value depends only on its cell.
 
-    ``cell_values[c]`` is the value of the table's cell ``c``, and
-    ``transitions`` and ``counts`` are the table's own arrays, shared, not
-    copied, so a profile adds one float64 per cell; ``transitions`` is in
-    the narrowest index dtype for the table's cells, one byte per step up
-    to 256 cells (see ``JointCountTable``).  ``values[i]`` belongs
-    to the transition whose `next` symbol sits at series index
-    ``start_index + i``.
+    ``cell_values[c]`` is the value of ``table``'s cell ``c``; the steps,
+    their counts and their start are read from the table, not copied, so a
+    profile adds one float64 per cell.  ``values[i]`` belongs to the step
+    whose `next` symbol sits at series index ``start_index + i``.  The
+    profile checks it holds one value per cell, the table that every step
+    names a cell (see ``JointCountTable``), so every step names a value.
     """
 
     measure: str
     k: int
     cell_values: np.ndarray
-    transitions: np.ndarray
-    counts: np.ndarray
-    start_index: int
+    table: JointCountTable
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.cell_values, dtype=np.float64).view()
+        if vals.shape != self.table.cells.shape:
+            raise ValueError(f"cell_values of shape {vals.shape} for {self.table.cells.size} cells")
         vals.setflags(write=False)
         object.__setattr__(self, "cell_values", vals)
 
     def __len__(self) -> int:
-        return int(self.transitions.size)
+        return int(self.table.transitions.size)
+
+    @property
+    def start_index(self) -> int:
+        return self.table.start_index
 
     @property
     def values(self) -> np.ndarray:
         """The per-step values, gathered afresh on each read: a read-only
         float64 array of 8 bytes per step."""
-        vals = _take(self.cell_values, self.transitions)
+        vals = _take(self.cell_values, self.table.transitions)
         vals.setflags(write=False)
         return vals
 
     @property
     def mean(self) -> float:
         """The mean over steps, as the count-weighted mean over cells."""
-        return float(self.counts @ self.cell_values / self.counts.sum())
+        return float(self.table.counts @ self.cell_values / self.table.total)
 
 
 @dataclass(frozen=True)
@@ -194,9 +197,7 @@ def _at_steps(cells: _Cells, measure: str, table: JointCountTable, k: int) -> Lo
             f"observed transition (history={decode_history(h, k, nx)}, next={x}) has zero "
             f"probability under the supplied distribution ({what})"
         )
-    return LocalProfile(
-        measure, k, cells.values[measure][idx], table.transitions, table.counts, table.start_index
-    )
+    return LocalProfile(measure, k, cells.values[measure][idx], table)
 
 
 def evaluate(

@@ -370,9 +370,9 @@ def _take(values: np.ndarray, index: np.ndarray) -> np.ndarray:
     ``_TAKE_CHUNK`` steps is cast into one reused intp buffer, 256 KiB,
     and gathered straight into the result, so the only N-sized array is
     the result.
-    Every caller's index lies in range by construction, so the gather
-    skips the bounds check of ``np.take``'s default mode, which also
-    copies each chunk of the result through a buffer.
+    Every caller's index, in ``_rank_codes``, ``simulate_unit`` and
+    ``LocalProfile.values``, lies in range by construction, so the gather
+    skips ``np.take``'s bounds check, which copies the result via a buffer.
     """
     out = np.empty(index.shape + values.shape[1:], dtype=values.dtype)
     buf = np.empty(min(index.size, _TAKE_CHUNK), dtype=np.intp)

@@ -532,21 +532,19 @@ class TestAnalyze:
         for array in (values, long, np.array([], dtype=np.float64)):
             # one cell per step
             steps = np.arange(array.size, dtype=np.int32)
-            profile = infodyn.LocalProfile("ais", 1, array, steps, np.ones(array.size, dtype=np.int64), 1)
             out = io.StringIO()
-            _write_profile(out, profile)
+            _write_profile(out, array, steps)
             assert out.getvalue() == json.dumps(array.tolist())
 
     def test_json_profile_formats_each_cell_once(self, monkeypatch):
         # many steps over four cells, holding 0.0, -0.0, NaN and 1/3
         cell_values = np.array([0.0, -0.0, np.nan, 1 / 3])
         steps = np.random.default_rng(3).integers(0, 4, 3 * _ROWS_PER_WRITE + 7).astype(np.int32)
-        profile = infodyn.LocalProfile("ais", 1, cell_values, steps, np.bincount(steps, minlength=4), 2)
         formatted = []
         real_dumps = json.dumps
         monkeypatch.setattr(cli.json, "dumps", lambda v: formatted.append(v) or real_dumps(v))
         out = io.StringIO()
-        _write_profile(out, profile)
+        _write_profile(out, cell_values, steps)
         assert out.getvalue() == real_dumps(cell_values[steps].tolist())
         assert sum(isinstance(v, float) for v in formatted) == 4
 
@@ -710,12 +708,18 @@ INGEST_CASES = [
     # a quoted line break: the line, not the record, is named
     ('"a\nb",c\n1,x\n', "{path}:3: non-integer value 'x' in column 'c'", False),
     ('a,b\n"1\n",2\n3,x\n', "{path}:4: non-integer value 'x' in column 'b'", False),
-    # blank lines are skipped before the header too
-    ("\noutput\n1\n0\n", (["output"], [[1], [0]]), False),
+    # blank lines are skipped before the header too, by the tokenizer
+    # while they end in \n or \r\n
+    ("\noutput\n1\n0\n", (["output"], [[1], [0]]), True),
     ("\n\n", "empty file: {path}", False),
     # a leading UTF-8 byte-order mark is dropped by both parsers
     ("\ufeffinput,output\n0,1\n1,0\n", (["input", "output"], [[0, 1], [1, 0]]), True),
     ('\ufeffinput,output\n"0",1\n1,0\n', (["input", "output"], [[0, 1], [1, 0]]), False),
+    # blank lines before the header may end in \r\n; a byte-order mark may
+    # come before them, and one after them stays in the first name
+    ("\r\n\r\noutput\r\n1\r\n0\r\n", (["output"], [[1], [0]]), True),
+    ("\ufeff\n\ninput,output\n0,1\n1,0\n", (["input", "output"], [[0, 1], [1, 0]]), True),
+    ("\n\ufeffoutput\n1\n", (["\ufeffoutput"], [[1]]), True),
 ]
 
 

@@ -123,12 +123,14 @@ def csv_files(draw):
             row.append(draw(st.sampled_from(BAD_FIELDS)).format(0))
     elif corrupt == "no rows":
         rows = []
-    lines = [",".join(names)]
+    # blank lines before the header, and half the time a byte-order mark
+    lines = [""] * draw(st.integers(0, 2)) + [",".join(names)]
     for row in rows:
         lines.append(",".join(row))
         if draw(st.integers(0, 9)) == 0:
             lines.append("")
-    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    text = bom + eol.join(lines) + (eol if draw(st.booleans()) else "")
     k_max = draw(st.integers(1, 3))
     lag = draw(st.integers(0, 2)) if n_inputs else 0
     return text, names[:n_cols], names[n_cols:], k_max, lag, corrupt

@@ -566,8 +566,8 @@ class TestHeldOutLocals:
 
 
 class TestLocalProfile:
-    """A profile holds one value per table cell and shares the table's step
-    index; its per-step values are gathered on each read."""
+    """A profile holds one value per table cell and reads its steps from the
+    table; its per-step values are gathered on each read."""
 
     @staticmethod
     def cases(rng):
@@ -591,7 +591,7 @@ class TestLocalProfile:
         for name, t, results in self.cases(rng):
             for r in results:
                 prof = getattr(r, "local", r)
-                assert np.shares_memory(prof.transitions, t.transitions), name
+                assert prof.table is t, name
                 assert prof.cell_values.shape == t.cells.shape, name
                 values = prof.values
                 assert values.dtype == np.float64 and not values.flags.writeable, name
@@ -605,9 +605,16 @@ class TestLocalProfile:
     def test_leaves_the_callers_array_writable(self, rng):
         t = count_joint(random_series(rng, 50, 2), random_series(rng, 50, 2), EmbeddingConfig(1))
         cell_values = np.zeros(t.cells.size)
-        prof = LocalProfile("ais", 1, cell_values, t.transitions, t.counts, t.start_index)
+        prof = LocalProfile("ais", 1, cell_values, t)
         assert np.shares_memory(prof.cell_values, cell_values)
         assert cell_values.flags.writeable and not prof.cell_values.flags.writeable
+
+    def test_one_value_per_cell(self, rng):
+        # a step names a cell, so it names a value only when each cell has one
+        t = count_joint(random_series(rng, 50, 2), random_series(rng, 50, 2), EmbeddingConfig(1))
+        for cell_values in (np.zeros(t.cells.size - 1), np.zeros(t.cells.size + 1), np.zeros((t.cells.size, 1))):
+            with pytest.raises(ValueError, match="cell_values of shape"):
+                LocalProfile("ais", 1, cell_values, t)
 
     def test_mean_and_length_over_steps(self, rng):
         for name, t, results in self.cases(rng):

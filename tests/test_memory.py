@@ -88,7 +88,7 @@ def test_write_local_profile_budget():
     x = simulate_unit(UnitSpec("xor_memory"), u)
     table = count_joint(x, u, EmbeddingConfig(4))
     (res,) = infodyn.evaluate(["ais"], table, local=True)
-    assert peak_bytes_per_step(_write_profile, io.StringIO(), res.local) < 26
+    assert peak_bytes_per_step(_write_profile, io.StringIO(), res.local.cell_values, table.transitions) < 26
 
 
 @pytest.mark.parametrize("measure", ["ais", "icais"])
