@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import re
 import sys
@@ -29,6 +30,10 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 _ROWS_PER_WRITE = 1 << 16
+# Steps of a local profile joined per write, and the most strings in its
+# table of the texts of g steps at a time (see _write_profile).
+_STEPS_PER_WRITE = 1 << 14
+_GROUP_LIMIT = 4096
 
 
 class UsageError(Exception):
@@ -225,8 +230,13 @@ def _read_csv_fast(data: bytes) -> tuple[list[str], np.ndarray] | None:
     from -2^63 to 2^63-1.  Such a body reads as ``_read_csv_cells`` reads it,
     though into the narrowest dtype that holds every value: uint8, uint16 or
     uint32 while no value is negative or beyond 2^32-1, else int64.  Any other
-    file, an empty body included, gives None.  An unended last line is closed
-    with a line end in a copy of its own chunk, never of the file.
+    file, an empty body included, gives None.
+
+    The body is read in chunks of about ``_CSV_CHUNK`` bytes, cut at line
+    ends.  A chunk of rows ``D,D,...,D\\n``, one digit per field, as
+    ``generate`` writes them, is read as one uint8 block; any other by the
+    general tokenizer.  An unended last line is closed with a line end in a
+    copy of its own chunk, never of the file, so it too may be such a row.
     """
     line = _HEADER_LINE.match(data)
     if line is None:
@@ -260,9 +270,14 @@ def _read_csv_fast(data: bytes) -> tuple[list[str], np.ndarray] | None:
 
 def _tokenize(chunk: bytes, n_cols: int) -> np.ndarray | None:
     """The fields, row by row, of ``chunk``'s lines, each ending in \\n,
-    or None unless every line is in the fast grammar.  Values are read by
-    Horner's rule: one gather of every first digit, then a pass j over the
-    fields longer than j."""
+    or None unless every line is in the fast grammar.  A chunk of rows
+    ``D,D,...,D\\n``, one digit per field, is read as one block into
+    uint8 by ``_one_digit_rows``; any other into int64 by Horner's rule:
+    one gather of every first digit, then a pass j over the fields longer
+    than j."""
+    block = _one_digit_rows(chunk, n_cols)
+    if block is not None:
+        return block
     text = np.frombuffer(chunk, dtype=np.uint8)
     cls = np.frombuffer(chunk.translate(_BYTE_CLASS), dtype=np.uint8)
     if cls.max() == _OTHER:
@@ -316,6 +331,23 @@ def _tokenize(chunk: bytes, n_cols: int) -> np.ndarray | None:
         return None
     values[neg] = np.uint64(0) - values[neg]
     return values.view(np.int64)
+
+
+def _one_digit_rows(chunk: bytes, n_cols: int) -> np.ndarray | None:
+    """The fields, row by row, of ``chunk`` as uint8 if it is rows of
+    ``n_cols`` one-digit fields, ``D,D,...,D\\n`` as ``_write_csv`` writes
+    them, else None.
+
+    Each digit and the byte after it is read as one little-endian uint16.
+    Less its row's ``0,`` or ``0\\n`` pair, in uint16 arithmetic, which
+    wraps, it is below 10 exactly when the digit is one and the separator
+    is the row's.
+    """
+    row = np.frombuffer(b"0," * (n_cols - 1) + b"0\n", dtype="<u2")
+    if len(chunk) % row.nbytes:
+        return None
+    fields = np.frombuffer(chunk, dtype="<u2") - np.tile(row, len(chunk) // row.nbytes)
+    return fields.astype(np.uint8) if fields.max() < 10 else None
 
 
 def _read_csv_cells(data: bytes, path: str) -> tuple[list[str], np.ndarray]:
@@ -377,17 +409,30 @@ def _write_profile(out, cell_values: np.ndarray, steps: np.ndarray) -> None:
     """Write a local profile's per-step values ``cell_values[steps]`` as
     ``json.dumps`` writes their list, one piece at a time.
 
-    A step's local value depends only on its cell, so each distinct cell
-    value is formatted once, and the text is gathered by step and joined a
-    block at a time.
+    A step's local value depends only on its cell, so each of the m
+    distinct cell values is formatted once.  Their texts are joined into a
+    table of every tuple of g steps, the largest g with m^g at most
+    ``_GROUP_LIMIT`` (as for m = 2 when m is 0 or 1); the steps are coded
+    g at a time as base-m indices into it, and about ``_STEPS_PER_WRITE``
+    steps are joined per write.  The last ``len(steps) % g`` steps are
+    written one text each.
     """
     # Unique bit patterns keep -0.0 apart from 0.0.
     bits, inverse = np.unique(cell_values.view(np.int64), return_inverse=True)
-    text = np.array([json.dumps(v) for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
+    text = [json.dumps(v) for v in bits.view(np.float64).tolist()]
+    g = 1
+    while max(len(text), 2) ** (g + 1) <= _GROUP_LIMIT:
+        g += 1
+    table = np.array([", ".join(t) for t in itertools.product(text, repeat=g)], dtype=object)
+    powers = len(text) ** np.arange(g - 1, -1, -1)
+    span = _STEPS_PER_WRITE // g * g
     out.write("[")
-    for start in range(0, steps.size, _ROWS_PER_WRITE):
+    for start in range(0, steps.size, span):
+        codes = inverse[steps[start:start + span]]
+        whole = codes.size - codes.size % g
         out.write(", " if start else "")
-        out.write(", ".join(text[steps[start:start + _ROWS_PER_WRITE]].tolist()))
+        out.write(", ".join([*table[codes[:whole].reshape(-1, g) @ powers].tolist(),
+                             *(text[i] for i in codes[whole:].tolist())]))
     out.write("]")
 
 

@@ -16,7 +16,9 @@ import pytest
 from infostorage import Alphabet, EmbeddingConfig, SymbolSeries, cli, count_joint, infodyn, procsim
 from infostorage.cli import (
     _CSV_CHUNK,
+    _GROUP_LIMIT,
     _ROWS_PER_WRITE,
+    _STEPS_PER_WRITE,
     DataError,
     _parse_process_spec,
     _parse_unit_spec,
@@ -548,6 +550,23 @@ class TestAnalyze:
         assert out.getvalue() == real_dumps(cell_values[steps].tolist())
         assert sum(isinstance(v, float) for v in formatted) == 4
 
+    @pytest.mark.parametrize("m", [0, 1, 2, 4, 64, 65, 300])
+    def test_grouped_profile_matches_json_dumps(self, m):
+        # m distinct cell values, 0.0, -0.0 and NaN among them; the steps
+        # are written g at a time, the largest g with m^g <= _GROUP_LIMIT,
+        # so lengths around g and around one write block are drawn
+        rng = np.random.default_rng(m)
+        cell_values = np.r_[0.0, -0.0, np.nan, rng.standard_normal(max(m - 3, 0))][:m]
+        g = max(g for g in range(1, 13) if m**g <= _GROUP_LIMIT)
+        lengths = [0] if m == 0 else [1, g - 1, g, g + 1, _STEPS_PER_WRITE - 1, _STEPS_PER_WRITE + 1,
+                                      3 * _STEPS_PER_WRITE + 7]
+        for dtype in (np.uint8, np.uint16, np.uint32, np.int64):
+            for n in lengths:
+                steps = rng.integers(0, min(m, np.iinfo(dtype).max + 1), n).astype(dtype)
+                out = io.StringIO()
+                _write_profile(out, cell_values, steps)
+                assert out.getvalue() == json.dumps(cell_values[steps].tolist())
+
     def test_symbol_beyond_int64_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "huge.csv"
         p.write_text("output\n0\n99999999999999999999999\n1\n")
@@ -650,6 +669,14 @@ def _cells_outcome(path):
     return columns, arr.tolist()
 
 
+def spy_one_digit_rows(monkeypatch):
+    """The list to which each call of ``cli._one_digit_rows`` appends its
+    result: a uint8 block, or None for a chunk it leaves to the tokenizer."""
+    blocks, real = [], cli._one_digit_rows
+    monkeypatch.setattr(cli, "_one_digit_rows", lambda *a: blocks.append(real(*a)) or blocks[-1])
+    return blocks
+
+
 # (file text, what the per-cell parser makes of it, whether the tokenizer takes it)
 INGEST_CASES = [
     ("output\n1\n0\n", (["output"], [[1], [0]]), True),
@@ -720,6 +747,11 @@ INGEST_CASES = [
     ("\r\n\r\noutput\r\n1\r\n0\r\n", (["output"], [[1], [0]]), True),
     ("\ufeff\n\ninput,output\n0,1\n1,0\n", (["input", "output"], [[0, 1], [1, 0]]), True),
     ("\n\ufeffoutput\n1\n", (["\ufeffoutput"], [[1]]), True),
+    # rows of one byte per field: the bytes either side of the digits, and
+    # a separator other than a comma, are not read as one-digit rows
+    ("output\n1\n:\n", "{path}:3: non-integer value ':' in column 'output'", False),
+    ("output\n1\n/\n", "{path}:3: non-integer value '/' in column 'output'", False),
+    ("a,b\n1,2\n3;4\n", "{path}:3: expected 2 fields", False),
 ]
 
 
@@ -784,6 +816,49 @@ class TestIngest:
         columns, arr = _read_csv_fast(p.read_bytes())
         assert (columns, arr.tolist()) == _cells_outcome(str(p))
         assert arr.tolist() == values.tolist()
+
+    @pytest.mark.parametrize("seed, change", enumerate([
+        None, "two digits", "space", "tab", "plus", "minus", "crlf", "blank line", "unended", "bom",
+    ]))
+    def test_one_digit_blocks_match_cell_parser(self, tmp_path, monkeypatch, seed, change):
+        # a body of one-digit rows spanning several chunks, with at most one
+        # change in one row: only that row's chunk leaves the one-digit
+        # block for the general tokenizer
+        rng = np.random.default_rng(seed)
+        n_cols = int(rng.integers(1, 5))
+        n = 3 * _CSV_CHUNK // (2 * n_cols) + int(rng.integers(1, 100))
+        cells = [list(map(str, r)) for r in rng.integers(0, 10, (n, n_cols)).tolist()]
+        i, j = int(rng.integers(_CSV_CHUNK // (2 * n_cols), n)), int(rng.integers(n_cols))
+        cells[i][j] = {"two digits": str(rng.integers(10, 100)), "space": f" {cells[i][j]}",
+                       "tab": f"{cells[i][j]}\t", "plus": f"+{cells[i][j]}",
+                       "minus": f"-{int(cells[i][j]) or 1}"}.get(change, cells[i][j])
+        lines = [",".join(r) + "\n" for r in cells]
+        if change == "crlf":
+            lines[i] = lines[i].replace("\n", "\r\n")
+        if change == "blank line":
+            lines.insert(i, "\n")
+        header = ",".join("abcd"[:n_cols]) + "\n"
+        text = ("\ufeff\n" if change == "bom" else "") + header + "".join(lines)
+        p = tmp_path / "digits.csv"
+        p.write_text(text.rstrip("\n") if change == "unended" else text)
+        blocks = spy_one_digit_rows(monkeypatch)
+        columns, arr = _read_csv_fast(p.read_bytes())
+        assert (columns, arr.tolist()) == _cells_outcome(str(p))
+        assert len(blocks) >= 3
+        if change in (None, "unended", "bom"):
+            assert all(b is not None for b in blocks)
+        else:
+            assert sum(b is None for b in blocks) == 1
+        if change not in ("two digits", "minus"):
+            assert arr.dtype == np.uint8
+
+    def test_generated_file_is_read_as_one_digit_blocks(self, tmp_path, capsys, monkeypatch):
+        p = gen_file(tmp_path, capsys, "markov:p_stay=0.7", "xor", _CSV_CHUNK, seed=7)
+        blocks = spy_one_digit_rows(monkeypatch)
+        columns, arr = _read_csv_fast(p.read_bytes())
+        assert len(blocks) >= 3 and all(b is not None for b in blocks)
+        assert arr.dtype == np.uint8
+        assert (columns, arr.tolist()) == _cells_outcome(str(p))
 
     @pytest.mark.parametrize("value, dtype", [
         (255, np.uint8), (256, np.uint16), (2**16 - 1, np.uint16), (2**16, np.uint32),

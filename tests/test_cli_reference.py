@@ -259,12 +259,13 @@ def test_cli_matches_reference(tmp_path):
             assert abs(float(average) - avg_ref) <= TOL + 1e-14 * abs(avg_ref)
 
     # Chunks of a few steps, so that tiny files cross every chunk edge of
-    # the tokenizer, the dense count, the gathers and the JSON writer.
+    # the tokenizer, the dense count, the gathers and the JSON writer; the
+    # writer's groups of g steps (g of 4, 2 or 1) end within its writes.
     with mock.patch.object(cli, "_read_csv_fast", fast), \
             mock.patch.object(cli, "_rank_codes", ranks("ingest")), \
             mock.patch.object(symseq, "_rank_codes", ranks("count")), \
             mock.patch.multiple(symseq, _COUNT_CHUNK=5, _TAKE_CHUNK=3), \
-            mock.patch.multiple(cli, _CSV_CHUNK=7, _ROWS_PER_WRITE=4):
+            mock.patch.multiple(cli, _CSV_CHUNK=7, _STEPS_PER_WRITE=4, _GROUP_LIMIT=16):
         check()
     assert reached == {"tokenizer", "cell parser", "ingest dense", "ingest sort", "count dense",
                        "count sort", "rejected by tokenizer", "rejected by cell parser", *CORRUPTIONS}

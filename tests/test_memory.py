@@ -91,6 +91,24 @@ def test_write_local_profile_budget():
     assert peak_bytes_per_step(_write_profile, io.StringIO(), res.local.cell_values, table.transitions) < 26
 
 
+class _DiscardText(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_write_local_profile_chunk_budget(k):
+    # measured 0.71 at k = 1 and 0.59 at k = 4 (3 and 9 distinct values):
+    # the table of every tuple of 7 (k = 1) or 3 (k = 4) cell texts, and
+    # the text of one write of 2^14 steps; a write of 2^16 steps breaks it.
+    # AIS, whose texts are longer here, reads 1.04 at k = 1
+    u = generate_input(ProcessSpec("markov_binary", p_stay=0.7, seed=1), N)
+    x = simulate_unit(UnitSpec("xor_memory"), u)
+    table = count_joint(x, u, EmbeddingConfig(k))
+    (res,) = infodyn.evaluate(["icais"], table, local=True)
+    assert peak_bytes_per_step(_write_profile, _DiscardText(), res.local.cell_values, table.transitions) < 1
+
+
 @pytest.mark.parametrize("measure", ["ais", "icais"])
 def test_local_profile_budget(measure):
     # measured 0.01: one float64 per cell (64 cells at k = 4 with an
@@ -121,22 +139,31 @@ def _binary_csv(path, n):
 
 
 def test_load_series_budget(tmp_path):
-    # measured 7.7 per row of an input,output file, while its body is
+    # measured 6.2 per row of an input,output file, while its body is
     # tokenised: the file's 4 bytes a row, read once, the block of both
-    # columns, uint8 as every value fits (2), and about 1.7 MB of one
-    # chunk's bytes and temporaries, whatever N.  A second copy of the
+    # columns, uint8 as every value fits (2), and about 0.2 MB of one
+    # chunk's temporaries, whatever N.  A second copy of the
     # file (4 more) or an int32 block (6 more) breaks the bound
     path = _binary_csv(tmp_path / "long.csv", N)
     assert peak_bytes_per_step(_load_series, str(path), ["output"], ["input"]) < 9.6
 
 
 def test_read_csv_unended_budget(tmp_path):
-    # measured 7.7 per row, as with a final line end: the unended last row
+    # measured 6.2 per row, as with a final line end: the unended last row
     # is closed in a copy of its own chunk, so a copy of the file to close
     # it (4 more) breaks the bound of the file that has one
     path = _binary_csv(tmp_path / "unended.csv", N)
     path.write_bytes(path.read_bytes().rstrip(b"\n"))
     assert peak_bytes_per_step(_read_csv, str(path)) < 9.6
+
+
+def test_read_csv_one_digit_budget(tmp_path):
+    # measured 6.2 per row of generate's input,output file: the file's 4
+    # bytes a row and the uint8 block (2); each chunk of one-digit rows is
+    # read as one block, so no chunk holds more than a few copies of its
+    # own bytes.  The general tokenizer's temporaries (1.5 more) break it
+    path = _binary_csv(tmp_path / "digits.csv", N)
+    assert peak_bytes_per_step(_read_csv, str(path)) < 7.7
 
 
 def test_read_csv_cells_budget(tmp_path):
