@@ -205,9 +205,9 @@ def _read_csv(path: str) -> tuple[list[str], dict[str, np.ndarray]]:
 
 # Byte classes of the fast grammar, as a table for bytes.translate.  A body
 # byte of class _OTHER sends the file to the reference parser.
-_DIGIT, _SPACE, _PLUS, _MINUS, _COMMA, _LF, _CR, _OTHER = range(8)
+_DIGIT, _SPACE, _PLUS, _MINUS, _COMMA, _LF, _OTHER = range(7)
 _CLASS_OF = {**dict.fromkeys(b"0123456789", _DIGIT),
-             **dict(zip(b" \t+-,\n\r", (_SPACE, _SPACE, _PLUS, _MINUS, _COMMA, _LF, _CR)))}
+             **dict(zip(b" \t+-,\n", (_SPACE, _SPACE, _PLUS, _MINUS, _COMMA, _LF)))}
 _BYTE_CLASS = bytes(_CLASS_OF.get(b, _OTHER) for b in range(256))
 # Body bytes tokenised at a time, cut at a line end: the temporaries, a few
 # bytes per body byte, stay in cache.
@@ -233,10 +233,12 @@ def _read_csv_fast(data: bytes) -> tuple[list[str], np.ndarray] | None:
     file, an empty body included, gives None.
 
     The body is read in chunks of about ``_CSV_CHUNK`` bytes, cut at line
-    ends.  A chunk of rows ``D,D,...,D\\n``, one digit per field, as
-    ``generate`` writes them, is read as one uint8 block; any other by the
-    general tokenizer.  An unended last line is closed with a line end in a
-    copy of its own chunk, never of the file, so it too may be such a row.
+    ends.  An unended last line is closed with a \\n, and in a chunk that
+    holds a \\r every \\r\\n is read as \\n, each in a copy of that chunk,
+    never of the file; any \\r left sends the file to ``_read_csv_cells``.
+    A chunk of rows ``D,D,...,D\\n``, one digit per field, as ``generate``
+    writes them, is then read as one uint8 block; any other by the general
+    tokenizer.
     """
     line = _HEADER_LINE.match(data)
     if line is None:
@@ -254,7 +256,8 @@ def _read_csv_fast(data: bytes) -> tuple[list[str], np.ndarray] | None:
     while start < end:
         stop = data.find(b"\n", min(start + _CSV_CHUNK, end - 1)) + 1 or end
         chunk = data[start:stop]
-        values = _tokenize(chunk if chunk.endswith(b"\n") else chunk + b"\n", len(header))
+        chunk = chunk if chunk.endswith(b"\n") else chunk + b"\n"
+        values = _tokenize(chunk.replace(b"\r\n", b"\n") if b"\r" in chunk else chunk, len(header))
         if values is None:
             return None
         if values.size:
@@ -269,8 +272,9 @@ def _read_csv_fast(data: bytes) -> tuple[list[str], np.ndarray] | None:
 
 
 def _tokenize(chunk: bytes, n_cols: int) -> np.ndarray | None:
-    """The fields, row by row, of ``chunk``'s lines, each ending in \\n,
-    or None unless every line is in the fast grammar.  A chunk of rows
+    """The fields, row by row, of ``chunk``'s lines, each ending in \\n
+    (a \\r is not in the grammar), or None unless every line is in the
+    fast grammar.  Blank lines are skipped.  A chunk of rows
     ``D,D,...,D\\n``, one digit per field, is read as one block into
     uint8 by ``_one_digit_rows``; any other into int64 by Horner's rule:
     one gather of every first digit, then a pass j over the fields longer
@@ -285,18 +289,13 @@ def _tokenize(chunk: bytes, n_cols: int) -> np.ndarray | None:
     digit = cls == _DIGIT
     first = digit.copy()
     first[1:] &= ~digit[:-1]
+    # A line end closes a row unless it opens the chunk or follows another: a blank line.
+    lf = cls == _LF
+    lf[1:] &= cls[:-1] != _LF
+    lf[0] = False
     # Digit runs and separators in order: a valid line is D,D,...,D\n.
-    events = np.flatnonzero(first | (cls == _COMMA) | (cls == _LF))
+    events = np.flatnonzero(first | (cls == _COMMA) | lf)
     kind = cls[events]
-    blank = kind == _LF
-    blank[1:] &= kind[:-1] == _LF
-    if blank.any():
-        # A blank line holds nothing but its line end.
-        at = np.flatnonzero(blank)
-        span = events[at] - np.where(at > 0, events[at - 1], -1)
-        if not ((span == 1) | (span == 2) & (cls[events[at] - 1] == _CR)).all():
-            return None
-        kind, events = kind[~blank], events[~blank]
     row = bytes([_DIGIT, _COMMA] * (n_cols - 1) + [_DIGIT, _LF])
     if kind.tobytes() != row * (kind.size // len(row)):
         return None
@@ -305,8 +304,7 @@ def _tokenize(chunk: bytes, n_cols: int) -> np.ndarray | None:
     if (np.diff(events[1::2], prepend=-1) > csv.field_size_limit() + 1).any():
         return None
     signs = np.flatnonzero((cls == _PLUS) | (cls == _MINUS))
-    returns = np.flatnonzero(cls == _CR)
-    if not (digit[signs + 1].all() and (cls[returns + 1] == _LF).all()):
+    if not digit[signs + 1].all():
         return None
     starts = events[0::2]
     values = (text[starts] - ord("0")).astype(np.uint64)
@@ -336,7 +334,8 @@ def _tokenize(chunk: bytes, n_cols: int) -> np.ndarray | None:
 def _one_digit_rows(chunk: bytes, n_cols: int) -> np.ndarray | None:
     """The fields, row by row, of ``chunk`` as uint8 if it is rows of
     ``n_cols`` one-digit fields, ``D,D,...,D\\n`` as ``_write_csv`` writes
-    them, else None.
+    them, else None.  Rows that end in \\r\\n in the file reach it so too,
+    as ``_read_csv_fast`` reads \\r\\n as \\n.
 
     Each digit and the byte after it is read as one little-endian uint16.
     Less its row's ``0,`` or ``0\\n`` pair, in uint16 arithmetic, which
@@ -360,14 +359,13 @@ def _read_csv_cells(data: bytes, path: str) -> tuple[list[str], np.ndarray]:
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as fh:
         try:
             reader = csv.reader(fh)
-            header = next(filter(None, reader), None)
+            rows = filter(None, reader)
+            header = next(rows, None)
             if header is None:
                 raise DataError(f"empty file: {path}")
             columns = [name.strip() for name in header]
             cells = array("q")
-            for row in reader:
-                if not row:
-                    continue
+            for row in rows:
                 if len(row) != len(columns):
                     raise DataError(f"{path}:{reader.line_num}: expected {len(columns)} fields")
                 for name, cell in zip(columns, row):

@@ -7,6 +7,7 @@ JointCountTable produced here: occurrence counts of the observed
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,6 +37,7 @@ class Alphabet:
     size: int
 
     def __post_init__(self):
+        object.__setattr__(self, "size", operator.index(self.size))
         if self.size < 1:
             raise ValueError("alphabet size must be >= 1")
 
@@ -109,6 +111,8 @@ class EmbeddingConfig:
     input_lag: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "k", operator.index(self.k))
+        object.__setattr__(self, "input_lag", operator.index(self.input_lag))
         if self.k < 1:
             raise ValueError("history length k must be >= 1")
         if self.input_lag < 0:
@@ -158,9 +162,9 @@ class JointCountTable:
     otherwise; both give the same arrays, and memory is O(N + observed
     cells) either way, whatever the alphabet sizes.
 
-    The constructor checks this contract, so no table is empty: at least
-    one cell, strictly increasing in the cell space, each counted at least
-    once, and every step's index naming a cell.
+    The constructor checks this contract, so no table is empty: integer
+    arrays, at least one cell, strictly increasing in the cell space, each
+    counted at least once, and every step's index naming a cell.
 
     ``cells`` and ``counts`` are held as int64, and ``transitions`` in the
     narrowest dtype that indexes the observed cells: uint8 up to 2^8 cells,
@@ -180,6 +184,8 @@ class JointCountTable:
     def __post_init__(self):
         for name in ("cells", "counts", "transitions"):
             arr = np.asarray(getattr(self, name))
+            # numpy types an empty list float64, so only a non-empty array's dtype is checked.
+            arr = _integer_array(name, arr) if arr.size else arr
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be one-dimensional")
             dtype = np.int64

@@ -752,6 +752,10 @@ INGEST_CASES = [
     ("output\n1\n:\n", "{path}:3: non-integer value ':' in column 'output'", False),
     ("output\n1\n/\n", "{path}:3: non-integer value '/' in column 'output'", False),
     ("a,b\n1,2\n3;4\n", "{path}:3: expected 2 fields", False),
+    # \r\n is read as \n, so a \r before one is left and sends the file to
+    # the per-cell parser; a lone \r closing the last line is read as \n
+    ("a\n1\r\r\n2\n", (["a"], [[1], [2]]), False),
+    ("a\n1\n2\r", (["a"], [[1], [2]]), True),
 ]
 
 
@@ -823,7 +827,8 @@ class TestIngest:
     def test_one_digit_blocks_match_cell_parser(self, tmp_path, monkeypatch, seed, change):
         # a body of one-digit rows spanning several chunks, with at most one
         # change in one row: only that row's chunk leaves the one-digit
-        # block for the general tokenizer
+        # block for the general tokenizer, unless the change is a \r\n,
+        # which is read as \n
         rng = np.random.default_rng(seed)
         n_cols = int(rng.integers(1, 5))
         n = 3 * _CSV_CHUNK // (2 * n_cols) + int(rng.integers(1, 100))
@@ -845,7 +850,7 @@ class TestIngest:
         columns, arr = _read_csv_fast(p.read_bytes())
         assert (columns, arr.tolist()) == _cells_outcome(str(p))
         assert len(blocks) >= 3
-        if change in (None, "unended", "bom"):
+        if change in (None, "crlf", "unended", "bom"):
             assert all(b is not None for b in blocks)
         else:
             assert sum(b is None for b in blocks) == 1
@@ -853,12 +858,18 @@ class TestIngest:
             assert arr.dtype == np.uint8
 
     def test_generated_file_is_read_as_one_digit_blocks(self, tmp_path, capsys, monkeypatch):
+        # as written, and as a tool that ends lines in \r\n saves it
         p = gen_file(tmp_path, capsys, "markov:p_stay=0.7", "xor", _CSV_CHUNK, seed=7)
+        want = _cells_outcome(str(p))
+        q = tmp_path / "crlf.csv"
+        q.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
         blocks = spy_one_digit_rows(monkeypatch)
-        columns, arr = _read_csv_fast(p.read_bytes())
-        assert len(blocks) >= 3 and all(b is not None for b in blocks)
-        assert arr.dtype == np.uint8
-        assert (columns, arr.tolist()) == _cells_outcome(str(p))
+        for path in (p, q):
+            blocks.clear()
+            columns, arr = _read_csv_fast(path.read_bytes())
+            assert len(blocks) >= 3 and all(b is not None for b in blocks), path.name
+            assert arr.dtype == np.uint8
+            assert (columns, arr.tolist()) == want
 
     @pytest.mark.parametrize("value, dtype", [
         (255, np.uint8), (256, np.uint16), (2**16 - 1, np.uint16), (2**16, np.uint32),

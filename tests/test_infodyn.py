@@ -730,3 +730,12 @@ class TestStepIndexDtype:
     def test_malformed_cells_and_counts(self, cells, counts, match):
         with pytest.raises(ValueError, match=match):
             JointCountTable(1, BINARY, None, cells, counts, [0])
+
+    @pytest.mark.parametrize("name, bad", [
+        ("cells", [0, 1.9]), ("counts", [1.5, 2.7]), ("transitions", [0, 1.2, 0.9]),
+    ], ids=["cells", "counts", "transitions"])
+    def test_non_integer_arrays(self, name, bad):
+        # a cast would truncate each: cells [0, 1], counts [1, 2], steps [0, 1, 0]
+        arrays = {"cells": [0, 1], "counts": [1, 2], "transitions": [0, 1, 0], name: bad}
+        with pytest.raises(ValueError, match=f"{name} must hold integers"):
+            JointCountTable(1, BINARY, None, **arrays)

@@ -109,6 +109,18 @@ def test_write_local_profile_chunk_budget(k):
     assert peak_bytes_per_step(_write_profile, _DiscardText(), res.local.cell_values, table.transitions) < 1
 
 
+@pytest.mark.parametrize("n", [10**5, N])
+def test_write_local_profile_longest_texts_budget(n):
+    # measured 2.07 MB at both lengths, so this bound is in bytes, not per
+    # step: two values whose JSON texts take 24 characters, the most a
+    # float's can, give g = 12 and the table of most characters, 4096
+    # strings of 12 texts, beside the text of one write.  The table is
+    # bounded by its count and the texts' length, whatever N
+    values = np.array([-2.2250738585072014e-308, -1.2345678901234567e-300])
+    steps = np.random.default_rng(0).integers(0, 2, n).astype(np.uint8)
+    assert peak_bytes_per_step(_write_profile, _DiscardText(), values, steps, steps=1) < 2.6e6
+
+
 @pytest.mark.parametrize("measure", ["ais", "icais"])
 def test_local_profile_budget(measure):
     # measured 0.01: one float64 per cell (64 cells at k = 4 with an

@@ -34,6 +34,12 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet(0)
 
+    def test_size_must_be_an_integer(self):
+        # refused when built, not later by numpy inside a series
+        with pytest.raises(TypeError, match="integer"):
+            Alphabet(2.0)
+        assert type(Alphabet(np.int64(2)).size) is int
+
 
 class TestSymbolSeries:
     def test_rejects_out_of_range_symbols(self):
@@ -118,6 +124,14 @@ class TestEmbeddingConfig:
     def test_rejects_bad_values(self, k, lag, match):
         with pytest.raises(ValueError, match=match):
             EmbeddingConfig(k, input_lag=lag)
+
+    @pytest.mark.parametrize("k, lag", [(2.0, 0), (1, 1.0)], ids=["k", "input_lag"])
+    def test_rejects_non_integers(self, k, lag):
+        # refused when built, not later by numpy inside the count
+        with pytest.raises(TypeError, match="integer"):
+            EmbeddingConfig(k, input_lag=lag)
+        cfg = EmbeddingConfig(np.int64(2), input_lag=np.uint8(1))
+        assert (type(cfg.k), type(cfg.input_lag)) == (int, int)
 
 
 class TestCountJoint:
